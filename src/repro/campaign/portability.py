@@ -25,9 +25,12 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import List, Sequence, Tuple
 
+import numpy as np
+
 from ..errors import MappingError
 from ..search.evaluation import EvaluatedConfig
-from ..search.pareto import dominates
+from ..search.objectives import DEFAULT_OBJECTIVES
+from ..search.pareto import _domination_blocks
 from ..search.space import MappingConfig
 from ..soc.platform import Platform
 
@@ -102,8 +105,8 @@ def count_surviving_on_front(
     platform's own search; one that is dominated demonstrates the target
     needed a platform-specific mapping.
     """
-    return sum(
-        1
-        for candidate in transferred
-        if not any(dominates(native, candidate) for native in native_front)
-    )
+    candidates = DEFAULT_OBJECTIVES.matrix(transferred)
+    dominated = np.zeros(len(candidates), dtype=bool)
+    for _, mask in _domination_blocks(DEFAULT_OBJECTIVES.matrix(native_front), candidates):
+        dominated |= mask.any(axis=0)
+    return int(np.count_nonzero(~dominated))

@@ -7,6 +7,13 @@ crowding distance (Deb et al., 2002).  Constraints are handled with Deb's
 constrained-domination rule: every feasible candidate outranks every
 infeasible one.
 
+Each generation's ranking reads the objectives once: one
+:func:`objective_matrix` per feasibility group, so every extractor (including
+a simulator-backed measured wait) runs once per ranked item.  The domination
+matrix is built in numpy blocks by the helper
+:func:`~repro.search.pareto.pareto_front` uses, and fronts are peeled from it
+in ascending row order.
+
 The building blocks (:func:`non_dominated_sort`, :func:`crowding_distance`)
 are exported separately so they can be validated against the seed's
 :func:`~repro.search.pareto.pareto_front` and reused by reports.
@@ -23,6 +30,7 @@ from ..search.constraints import SearchConstraints
 from ..search.evaluation import EvaluatedConfig
 from ..search.objectives import as_objective_set
 from ..search.operators import crossover, mutate
+from ..search.pareto import _domination_blocks
 from ..search.space import MappingConfig, SearchSpace
 from ..utils import as_rng
 from .strategies import SearchStrategy, _check_common_budget, resolve_initial_population
@@ -42,38 +50,29 @@ def objective_matrix(
     return as_objective_set(objectives).matrix(evaluated)
 
 
-def _dominates_row(first: np.ndarray, second: np.ndarray) -> bool:
-    return bool(np.all(first <= second) and np.any(first < second))
-
-
 def non_dominated_sort(values: np.ndarray) -> List[List[int]]:
     """Partition row indices of ``values`` into successive Pareto fronts.
 
     ``values`` holds one row per candidate, all objectives minimised.  The
     first front contains exactly the non-dominated rows; removing it, the
-    second front is the non-dominated remainder, and so on.
+    second front is the non-dominated remainder, and so on.  Rows keep
+    ascending order within the first front and, within later fronts, the
+    order in which peeling frees them (Deb et al.'s fast sort).
     """
     count = len(values)
-    dominated_by: List[List[int]] = [[] for _ in range(count)]
-    domination_count = np.zeros(count, dtype=int)
-    for i in range(count):
-        for j in range(i + 1, count):
-            if _dominates_row(values[i], values[j]):
-                dominated_by[i].append(j)
-                domination_count[j] += 1
-            elif _dominates_row(values[j], values[i]):
-                dominated_by[j].append(i)
-                domination_count[i] += 1
+    dominates = np.zeros((count, count), dtype=bool)
+    for start, mask in _domination_blocks(values):
+        dominates[start : start + len(mask)] = mask
+    domination_count = dominates.sum(axis=0)
     fronts: List[List[int]] = []
-    current = [i for i in range(count) if domination_count[i] == 0]
+    current = np.flatnonzero(domination_count == 0).tolist()
     while current:
         fronts.append(current)
         upcoming: List[int] = []
         for i in current:
-            for j in dominated_by[i]:
-                domination_count[j] -= 1
-                if domination_count[j] == 0:
-                    upcoming.append(j)
+            dominated = dominates[i]
+            domination_count -= dominated
+            upcoming.extend(np.flatnonzero(dominated & (domination_count == 0)).tolist())
         current = upcoming
     return fronts
 

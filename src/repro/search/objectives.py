@@ -308,7 +308,7 @@ class ObjectiveSet:
     """The ordered, named objectives one search minimises jointly.
 
     The set is what gets threaded through the stack: Pareto analysis and
-    NSGA-II ranking read :meth:`values` / :meth:`matrix`, the surrogate
+    NSGA-II ranking read one :meth:`matrix` per ranking pass, the surrogate
     trains one model per spec under the spec's declared transform, reports
     render one column per name, and campaign checkpoints embed
     :meth:`describe` so a changed set re-runs exactly the affected cells.
@@ -340,8 +340,13 @@ class ObjectiveSet:
         return tuple(spec.value(item) for spec in self.specs)
 
     def matrix(self, evaluated: Sequence[EvaluatedConfig]) -> np.ndarray:
-        """Stack :meth:`values` rows for NSGA-II's non-dominated sorting."""
-        return np.array([self.values(item) for item in evaluated], dtype=float)
+        """Stack :meth:`values` rows, one per item, into an ``(n, d)`` array.
+
+        The one place Pareto analysis and NSGA-II ranking read objectives:
+        every extractor runs exactly once per item.
+        """
+        rows = [self.values(item) for item in evaluated]
+        return np.array(rows, dtype=float).reshape(len(rows), len(self.specs))
 
     def reference_point(
         self, fronts: Sequence[Sequence[EvaluatedConfig]]
@@ -440,7 +445,7 @@ def measured_serving_objectives(
     queue build-up the proxy cannot see.  A content-keyed
     :class:`~repro.serving.result_cache.ServingResultCache` makes each
     distinct deployment pay for exactly one replay across all generations
-    and domination checks.
+    and ranking passes.
 
     Parameters
     ----------

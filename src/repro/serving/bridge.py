@@ -126,8 +126,8 @@ def measured_serving_metrics(
     :class:`~repro.serving.policies.Deployment`, keyed by
     :func:`~repro.serving.result_cache.serving_digest` (deployment content x
     platform x workload x seed x replay budget x ``policy_tag``) and only
-    simulated on a cache miss.  NSGA-II's pairwise domination checks
-    interrogate the same candidates many times per generation; with a shared
+    simulated on a cache miss.  A surviving NSGA-II parent is ranked again
+    every generation and once more in the final front; with a shared
     :class:`~repro.serving.result_cache.ServingResultCache` each distinct
     deployment pays for exactly one replay — and serving-campaign replays of
     deployments the search already measured pay for none.

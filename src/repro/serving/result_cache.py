@@ -1,12 +1,13 @@
 """Content-keyed serving-result cache with optional JSONL persistence.
 
 ``measured_serving_objectives`` puts the traffic simulator *inside* the
-search loop: every NSGA-II domination check asks for a candidate's measured
-queueing wait, and the same candidate is interrogated many times per
-generation (pairwise domination is O(n^2)).  Re-simulating an unchanged
-deployment every time would make measured search orders of magnitude slower
-than the M/D/1 proxy; the :class:`ServingResultCache` makes each distinct
-replay happen exactly once.
+search loop: every ranking pass (each NSGA-II generation's non-dominated
+sort, the final Pareto front) reads each ranked candidate's measured
+queueing wait once, and the same candidate is ranked again in later
+generations, in the final front and by the serving replays that follow.
+Re-simulating an unchanged deployment every time would make measured search
+far slower than the M/D/1 proxy; the :class:`ServingResultCache` makes each
+distinct replay happen exactly once.
 
 Entries are keyed by :func:`serving_digest` — a stable content digest of the
 *deployment* (per-stage services/energies/accuracies/DVFS points; the display
