@@ -77,7 +77,7 @@ from ..serving.bridge import (
 from ..serving.families import WorkloadFamily, member_traffic_seed, resolve_families
 from ..serving.metrics import ServingMetrics, compute_metrics, metric_direction
 from ..serving.policies import POLICY_KINDS, Deployment, build_policy
-from ..serving.result_cache import ServingResultCache, deployment_digest
+from ..serving.result_cache import ServingResultCache, deployment_digest, serving_scenario
 from ..soc.platform import Platform
 from ..utils import check_positive, geometric_mean
 from .checkpoint import (
@@ -485,6 +485,9 @@ def _rank_front_cached(
     of ``(workload, duration, seed)``.
     """
     reverse = metric_direction(task.metric) == "desc"
+    scenario = serving_scenario(
+        task.platform, process, task.duration_ms, traffic_seed, task.deadline_ms
+    )
     entries = []
     for position, candidate in enumerate(task.front):
         deployment = (
@@ -501,6 +504,7 @@ def _rank_front_cached(
             deadline_ms=task.deadline_ms,
             cache=cache,
             family_name=task.family.name,
+            scenario=scenario,
         )
         expected_policy = f"static({deployment.name})"
         if metrics.policy != expected_policy:

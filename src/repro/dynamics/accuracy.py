@@ -109,8 +109,7 @@ class AccuracyModel:
         family = dynamic_network.network.family
         accuracies = []
         best_so_far = 0.0
-        for stage_index in range(dynamic_network.num_stages):
-            coverage = dynamic_network.stage_coverage(stage_index)
+        for coverage in dynamic_network.stage_coverages():
             accuracy = self.stage_accuracy_from_coverage(coverage, base, family)
             best_so_far = max(best_so_far, accuracy)
             accuracies.append(best_so_far)

@@ -106,6 +106,30 @@ class ChannelRanking:
         layer_scores = self._layer_scores(layer_name)
         return np.cumsum(layer_scores[self.order[layer_name]])
 
+    def leading_zero_curves(self, layer_names: Tuple[str, ...]) -> Tuple[np.ndarray, np.ndarray]:
+        """``[0, *cumulative_curve(name)]`` of every layer, concatenated.
+
+        Returns the flat curve table and each layer's offset into it, so the
+        mass of channels ``[start, end)`` of layer ``j`` in importance order
+        is ``curves[offsets[j] + end] - curves[offsets[j] + start]``.  Built
+        once per ranking and layer tuple, and kept on this ranking only: the
+        table is derived data, so it is left out of the pickled state.
+        """
+        tables = self.__dict__.setdefault("_curve_tables", {})
+        table = tables.get(layer_names)
+        if table is None:
+            padded = [
+                np.concatenate(([0.0], self.cumulative_curve(name))) for name in layer_names
+            ]
+            offsets = np.cumsum([0] + [curve.size for curve in padded[:-1]])
+            table = tables[layer_names] = (np.concatenate(padded), offsets)
+        return table
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_curve_tables", None)
+        return state
+
     def _layer_scores(self, layer_name: str) -> np.ndarray:
         try:
             return np.asarray(self.scores[layer_name], dtype=float)

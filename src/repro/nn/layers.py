@@ -82,24 +82,55 @@ class Layer:
             )
 
     # -- analytical accounting -------------------------------------------------
+    # Subclasses implement the ``_``-prefixed formulas on already validated
+    # unit counts; the public methods below resolve and validate once.
     def flops(self, in_units: int | None = None, out_units: int | None = None) -> float:
         """Floating-point operations for one input sample.
 
         ``in_units`` / ``out_units`` default to the full layer width, i.e. the
         unpartitioned cost.
         """
-        raise NotImplementedError
+        return self._flops(*self.resolve_units(in_units, out_units))
 
     def params(self, in_units: int | None = None, out_units: int | None = None) -> float:
         """Number of trainable parameters for the selected slice."""
-        raise NotImplementedError
+        return self._params(*self.resolve_units(in_units, out_units))
 
     def output_elements(self, out_units: int | None = None) -> int:
         """Number of scalar elements in the produced feature map (per sample)."""
-        raise NotImplementedError
+        return self._output_elements(self.resolve_units(None, out_units)[1])
 
     def input_elements(self, in_units: int | None = None) -> int:
         """Number of scalar elements consumed from the input feature map."""
+        return self._input_elements(self.resolve_units(in_units, None)[0])
+
+    def slice_costs(
+        self, in_units: int | None = None, out_units: int | None = None
+    ) -> Tuple[float, int, int, float]:
+        """``(flops, input_bytes, output_bytes, params)`` of one slice.
+
+        The four quantities of :meth:`flops`, :meth:`input_bytes`,
+        :meth:`output_bytes` and :meth:`params`, with the units validated
+        once instead of four times.
+        """
+        in_u, out_u = self.resolve_units(in_units, out_units)
+        return (
+            self._flops(in_u, out_u),
+            self._input_elements(in_u) * BYTES_PER_ELEMENT,
+            self._output_elements(out_u) * BYTES_PER_ELEMENT,
+            self._params(in_u, out_u),
+        )
+
+    def _flops(self, in_u: int, out_u: int) -> float:
+        raise NotImplementedError
+
+    def _params(self, in_u: int, out_u: int) -> float:
+        raise NotImplementedError
+
+    def _output_elements(self, out_u: int) -> int:
+        raise NotImplementedError
+
+    def _input_elements(self, in_u: int) -> int:
         raise NotImplementedError
 
     # -- convenience helpers ---------------------------------------------------
@@ -168,8 +199,7 @@ class Conv2dLayer(Layer):
                     f"layer {self.name!r}: {label} must be a pair of positive ints, got {dims!r}"
                 )
 
-    def flops(self, in_units: int | None = None, out_units: int | None = None) -> float:
-        in_u, out_u = self.resolve_units(in_units, out_units)
+    def _flops(self, in_u: int, out_u: int) -> float:
         height, width = self.out_spatial
         macs = (
             self.kernel_size
@@ -181,19 +211,16 @@ class Conv2dLayer(Layer):
         )
         return 2.0 * macs * self.fused_overhead
 
-    def params(self, in_units: int | None = None, out_units: int | None = None) -> float:
-        in_u, out_u = self.resolve_units(in_units, out_units)
+    def _params(self, in_u: int, out_u: int) -> float:
         weights = self.kernel_size * self.kernel_size * (in_u / self.groups) * out_u
         bias_and_norm = 3 * out_u  # bias + fused batch-norm scale/shift
         return weights + bias_and_norm
 
-    def output_elements(self, out_units: int | None = None) -> int:
-        _, out_u = self.resolve_units(None, out_units)
+    def _output_elements(self, out_u: int) -> int:
         height, width = self.out_spatial
         return int(out_u * height * width)
 
-    def input_elements(self, in_units: int | None = None) -> int:
-        in_u, _ = self.resolve_units(in_units, None)
+    def _input_elements(self, in_u: int) -> int:
         height, width = self.in_spatial
         return int(in_u * height * width)
 
@@ -214,20 +241,16 @@ class LinearLayer(Layer):
         if self.tokens < 1:
             raise ConfigurationError(f"layer {self.name!r}: tokens must be >= 1")
 
-    def flops(self, in_units: int | None = None, out_units: int | None = None) -> float:
-        in_u, out_u = self.resolve_units(in_units, out_units)
+    def _flops(self, in_u: int, out_u: int) -> float:
         return 2.0 * self.tokens * in_u * out_u * self.fused_overhead
 
-    def params(self, in_units: int | None = None, out_units: int | None = None) -> float:
-        in_u, out_u = self.resolve_units(in_units, out_units)
+    def _params(self, in_u: int, out_u: int) -> float:
         return in_u * out_u + out_u
 
-    def output_elements(self, out_units: int | None = None) -> int:
-        _, out_u = self.resolve_units(None, out_units)
+    def _output_elements(self, out_u: int) -> int:
         return int(self.tokens * out_u)
 
-    def input_elements(self, in_units: int | None = None) -> int:
-        in_u, _ = self.resolve_units(in_units, None)
+    def _input_elements(self, in_u: int) -> int:
         return int(self.tokens * in_u)
 
 
@@ -266,25 +289,21 @@ class AttentionLayer(Layer):
     def partition_granularity(self) -> int:
         return self.head_dim
 
-    def flops(self, in_units: int | None = None, out_units: int | None = None) -> float:
-        in_u, out_u = self.resolve_units(in_units, out_units)
+    def _flops(self, in_u: int, out_u: int) -> float:
         qkv = 3 * 2.0 * self.tokens * in_u * out_u
         attention = 2 * 2.0 * self.tokens * self.tokens * out_u
         projection = 2.0 * self.tokens * out_u * out_u
         return (qkv + attention + projection) * self.fused_overhead
 
-    def params(self, in_units: int | None = None, out_units: int | None = None) -> float:
-        in_u, out_u = self.resolve_units(in_units, out_units)
+    def _params(self, in_u: int, out_u: int) -> float:
         qkv = 3 * in_u * out_u + 3 * out_u
         projection = out_u * out_u + out_u
         return qkv + projection
 
-    def output_elements(self, out_units: int | None = None) -> int:
-        _, out_u = self.resolve_units(None, out_units)
+    def _output_elements(self, out_u: int) -> int:
         return int(self.tokens * out_u)
 
-    def input_elements(self, in_units: int | None = None) -> int:
-        in_u, _ = self.resolve_units(in_units, None)
+    def _input_elements(self, in_u: int) -> int:
         return int(self.tokens * in_u)
 
 
@@ -308,25 +327,23 @@ class FeedForwardLayer(Layer):
 
     def hidden_units(self, out_units: int | None = None) -> int:
         """Hidden width used for a slice producing ``out_units`` channels."""
-        _, out_u = self.resolve_units(None, out_units)
+        return self._hidden_units(self.resolve_units(None, out_units)[1])
+
+    def _hidden_units(self, out_u: int) -> int:
         return max(1, int(round(out_u * self.expansion)))
 
-    def flops(self, in_units: int | None = None, out_units: int | None = None) -> float:
-        in_u, out_u = self.resolve_units(in_units, out_units)
-        hidden = self.hidden_units(out_u)
+    def _flops(self, in_u: int, out_u: int) -> float:
+        hidden = self._hidden_units(out_u)
         first = 2.0 * self.tokens * in_u * hidden
         second = 2.0 * self.tokens * hidden * out_u
         return (first + second) * self.fused_overhead
 
-    def params(self, in_units: int | None = None, out_units: int | None = None) -> float:
-        in_u, out_u = self.resolve_units(in_units, out_units)
-        hidden = self.hidden_units(out_u)
+    def _params(self, in_u: int, out_u: int) -> float:
+        hidden = self._hidden_units(out_u)
         return in_u * hidden + hidden + hidden * out_u + out_u
 
-    def output_elements(self, out_units: int | None = None) -> int:
-        _, out_u = self.resolve_units(None, out_units)
+    def _output_elements(self, out_u: int) -> int:
         return int(self.tokens * out_u)
 
-    def input_elements(self, in_units: int | None = None) -> int:
-        in_u, _ = self.resolve_units(in_units, None)
+    def _input_elements(self, in_u: int) -> int:
         return int(self.tokens * in_u)

@@ -12,6 +12,17 @@ features from earlier stages), its FLOPs / parameters / feature-map bytes, and
 the cross-stage bytes that must move between compute units.  These numbers
 feed the hardware model in :mod:`repro.perf` and the accuracy model in
 :mod:`repro.dynamics`.
+
+:func:`build_dynamic_network` derives the per-candidate tables -- available
+input units, reused-input bytes and exit-head widths, shape (stages x
+layers) -- in a few integer numpy passes over the channel and indicator
+matrices (:meth:`PartitionScheme.available_in_units_table` and friends),
+then fills the sub-layers from them.  :meth:`DynamicNetwork.stage_coverages`
+reads importance masses off the ranking's once-derived leading-zero curves
+for all stages at once.  The scalar accessors
+(:meth:`PartitionScheme.available_in_units`, ``stage_range``,
+``reused_input_bytes``) remain the row-wise reference the test suite checks
+the tables against.
 """
 
 from __future__ import annotations
@@ -144,23 +155,32 @@ class DynamicNetwork:
         fraction -- the quantity that makes the reordering ablation visible.
         """
         self._check_stage(stage)
-        per_layer = []
-        for layer_index, layer in enumerate(self.scheme.backbone):
-            included = [stage] + [
-                k for k in range(stage) if self.scheme.indicator.reused(k, layer_index)
-            ]
-            if self.reordered and self.ranking is not None:
-                curve = self.ranking.cumulative_curve(layer.name)
-                curve = np.concatenate(([0.0], curve))
-                mass = 0.0
-                for k in included:
-                    start, end = self.scheme.stage_range(k, layer_index)
-                    mass += float(curve[end] - curve[start])
-            else:
-                owned = sum(self.scheme.stage_channels(k, layer_index) for k in included)
-                mass = owned / layer.width
-            per_layer.append(min(1.0, mass))
-        return float(np.mean(per_layer))
+        return self.stage_coverages()[stage]
+
+    def stage_coverages(self) -> Tuple[float, ...]:
+        """:meth:`stage_coverage` of every stage, from one pass over the tables.
+
+        Each stage's mass adds its own block first, then the reused blocks of
+        earlier stages in stage order -- the order a per-stage loop would add
+        them in, so every coverage is bit-for-bit that loop's result.
+        """
+        scheme = self.scheme
+        if self.reordered and self.ranking is not None:
+            curves, offsets = self.ranking.leading_zero_curves(
+                tuple(layer.name for layer in scheme.backbone)
+            )
+            starts = offsets + scheme.stage_starts()
+            block_mass = curves[starts + scheme.channels] - curves[starts]
+            reused = scheme.indicator.values.astype(bool)
+            mass = block_mass.copy()
+            for stage in range(1, self.num_stages):
+                for k in range(stage):
+                    mass[stage] += np.where(reused[k], block_mass[k], 0.0)
+        else:
+            widths = np.array([layer.width for layer in scheme.backbone])
+            mass = scheme.visible_units() / widths
+        per_layer = np.minimum(1.0, mass)
+        return tuple(float(np.mean(row)) for row in per_layer)
 
     def summary(self) -> str:
         """Multi-line human-readable summary of stages and their costs."""
@@ -205,36 +225,32 @@ def build_dynamic_network(
         ablation benches set this to ``False``.
     """
     scheme = PartitionScheme(network=network, partition=partition, indicator=indicator)
+    out_units = scheme.channels.tolist()
+    in_units = scheme.available_in_units_table().tolist()
+    reused_bytes = scheme.reused_input_bytes_table().tolist()
+    # The exit head classifies from every feature available to this stage
+    # at the final backbone layer (own channels plus reused ones).
+    exit_in_units = scheme.visible_units()[:, -1].tolist()
     stages = []
-    last_layer_index = scheme.num_layers - 1
     for stage_index in range(scheme.num_stages):
-        sublayers = []
-        for layer_index, layer in enumerate(scheme.backbone):
-            sublayers.append(
-                SubLayer(
-                    base=layer,
-                    stage_index=stage_index,
-                    layer_index=layer_index,
-                    in_units=scheme.available_in_units(stage_index, layer_index),
-                    out_units=scheme.stage_channels(stage_index, layer_index),
-                    reused_input_bytes=scheme.reused_input_bytes(stage_index, layer_index),
-                )
+        sublayers = tuple(
+            SubLayer(
+                base=layer,
+                stage_index=stage_index,
+                layer_index=layer_index,
+                in_units=in_units[stage_index][layer_index],
+                out_units=out_units[stage_index][layer_index],
+                reused_input_bytes=reused_bytes[stage_index][layer_index],
             )
-        # The exit head classifies from every feature available to this stage
-        # at the final backbone layer (own channels plus reused ones).
-        exit_in = scheme.stage_channels(stage_index, last_layer_index)
-        exit_in += sum(
-            scheme.stage_channels(k, last_layer_index)
-            for k in range(stage_index)
-            if scheme.indicator.reused(k, last_layer_index)
+            for layer_index, layer in enumerate(scheme.backbone)
         )
         exit_head = LinearLayer(
             name=f"exit{stage_index}",
             width=network.num_classes,
-            in_width=int(exit_in),
+            in_width=exit_in_units[stage_index],
             tokens=1,
         )
-        stages.append(Stage(index=stage_index, sublayers=tuple(sublayers), exit_head=exit_head))
+        stages.append(Stage(index=stage_index, sublayers=sublayers, exit_head=exit_head))
     return DynamicNetwork(
         network=network,
         scheme=scheme,

@@ -19,6 +19,7 @@ ranges.  The actual construction of per-stage sub-models lives in
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -74,6 +75,17 @@ def split_units(width: int, fractions: Sequence[float], granularity: int = 1) ->
     fractions = np.asarray(fractions, dtype=float)
     if fractions.ndim != 1 or fractions.size == 0:
         raise PartitionError("fractions must be a non-empty 1-D sequence")
+    return _split_units(width, fractions.tobytes(), granularity)
+
+
+@functools.lru_cache(maxsize=4096)
+def _split_units(width: int, fraction_bytes: bytes, granularity: int) -> Tuple[int, ...]:
+    """:func:`split_units` on a column's raw float64 bytes, memoised by content.
+
+    A search re-splits the same few ratio columns for every candidate; the
+    key holds only immutable content, so the bounded cache pins no objects.
+    """
+    fractions = np.frombuffer(fraction_bytes)
     if np.any(fractions < 0) or abs(float(fractions.sum()) - 1.0) > 1e-6:
         raise PartitionError(f"fractions must be non-negative and sum to 1, got {fractions}")
     if granularity < 1 or width % granularity != 0:
@@ -323,12 +335,52 @@ class PartitionScheme:
         available for subsequent stages for the duration of the inference
         (Fig. 4), so the memory-constraint term sums their sizes.
         """
-        total = 0
-        for stage in range(self.num_stages - 1):
-            for layer_index, layer in enumerate(self._backbone):
-                if self.indicator.reused(stage, layer_index):
-                    total += layer.output_bytes(self.stage_channels(stage, layer_index))
-        return int(total)
+        forwarded = self.indicator.values[:-1] * self.output_bytes_table()[:-1]
+        return int(forwarded.sum())
+
+    # -- whole-matrix tables ------------------------------------------------------
+    # Array forms of the per-(stage, layer) accessors above, derived with a few
+    # integer passes over the channel and indicator matrices.  They are
+    # computed per call and never stored on the (pickled) scheme; the scalar
+    # accessors are their row-wise reference.
+    def visible_units(self) -> np.ndarray:
+        """Output units of every layer visible to each stage, ``(M, n)``.
+
+        Entry ``[i, j]`` counts stage ``i``'s own channels of layer ``j`` plus
+        those of every earlier stage whose indicator bit is set there: the
+        input width of stage ``i``'s next sub-layer, or of its exit head
+        after the last layer.
+        """
+        forwarded = self.indicator.values * self._channels
+        return self._channels + np.cumsum(forwarded, axis=0) - forwarded
+
+    def stage_starts(self) -> np.ndarray:
+        """First channel of every :meth:`stage_range`, shape ``(M, n)``."""
+        return np.cumsum(self._channels, axis=0) - self._channels
+
+    def available_in_units_table(self) -> np.ndarray:
+        """:meth:`available_in_units` of every (stage, layer), shape ``(M, n)``."""
+        table = np.empty_like(self._channels)
+        table[:, 0] = self._backbone[0].in_width
+        table[:, 1:] = self.visible_units()[:, :-1]
+        return table
+
+    def output_bytes_table(self) -> np.ndarray:
+        """Bytes of the feature map every (stage, layer) produces, ``(M, n)``.
+
+        A feature map is its unit count times a fixed per-unit map size, so
+        one size per layer prices the whole column.
+        """
+        unit_bytes = np.array([layer.output_bytes(1) for layer in self._backbone])
+        return self._channels * unit_bytes
+
+    def reused_input_bytes_table(self) -> np.ndarray:
+        """:meth:`reused_input_bytes` of every (stage, layer), shape ``(M, n)``."""
+        forwarded = self.indicator.values * self.output_bytes_table()
+        imported = np.cumsum(forwarded, axis=0) - forwarded
+        table = np.zeros_like(imported)
+        table[:, 1:] = imported[:, :-1]
+        return table
 
     def reuse_fraction(self) -> float:
         """Fraction of forwardable feature maps reused (Table II column)."""

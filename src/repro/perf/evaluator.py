@@ -9,6 +9,14 @@ into a :class:`HardwareProfile`:
   (Eq. 11-12) plus the interconnect energy of imported features,
 * the overall latency ``max_i T_{S_i}`` (Eq. 13) and the cumulative energy
   ``E_{S_{1:i}}`` of instantiating the first ``i`` stages (Eq. 14).
+
+The schedule and the energy pass share one set of layer workloads.  For the
+:class:`~repro.perf.layer_cost.AnalyticalCostModel` itself, whose energy is
+latency times power (Eq. 11), a stage's energy is summed from the
+schedule's own latencies in layer order -- the same products
+``energy_mj`` would compute.  Every other cost model, subclasses of the
+oracle included, is asked for each energy exactly as the row-wise reference
+in the test suite asks it.
 """
 
 from __future__ import annotations
@@ -18,9 +26,10 @@ from typing import Optional, Sequence, Tuple
 
 from ..errors import MappingError
 from ..nn.multiexit import DynamicNetwork
+from ..soc.compute_unit import ComputeUnit
 from ..soc.platform import Platform
-from .layer_cost import AnalyticalCostModel, CostModel, LayerWorkload
-from .schedule import ScheduleResult, simulate_schedule
+from .layer_cost import AnalyticalCostModel, CostModel
+from .schedule import ScheduleResult, StageWorkloads, simulate_schedule, stage_workloads
 
 __all__ = ["StagePerformance", "HardwareProfile", "MappingEvaluator"]
 
@@ -125,34 +134,45 @@ class MappingEvaluator:
         scales = [
             unit.scale_for_point(int(index)) for unit, index in zip(units, dvfs_indices)
         ]
+        workloads = stage_workloads(dynamic_network)
         schedule = simulate_schedule(
             dynamic_network,
             units=units,
             scales=scales,
             cost_model=self.cost_model,
             interconnect=self.platform.interconnect,
+            workloads=workloads,
         )
-        return self._profile_from_schedule(dynamic_network, schedule, unit_names, scales)
+        return self._profile_from_schedule(dynamic_network, schedule, units, scales, workloads)
 
     # -- internals ---------------------------------------------------------------
     def _profile_from_schedule(
         self,
         dynamic_network: DynamicNetwork,
         schedule: ScheduleResult,
-        unit_names: Sequence[str],
+        units: Sequence[ComputeUnit],
         scales: Sequence[float],
+        workloads: Sequence[StageWorkloads],
     ) -> HardwareProfile:
         interconnect = self.platform.interconnect
+        # The analytical oracle's energy is latency x power (Eq. 11), so its
+        # stage energy reuses the schedule's taus; any other model is asked
+        # for every energy, in stage then layer order.
+        reuse_taus = type(self.cost_model) is AnalyticalCostModel
         performances = []
-        for stage, stage_schedule in zip(dynamic_network.stages, schedule.stages):
-            unit = self.platform.unit(unit_names[stage.index])
-            scale = scales[stage.index]
+        for stage, stage_schedule, unit, scale, (sub_workloads, exit_workload) in zip(
+            dynamic_network.stages, schedule.stages, units, scales, workloads
+        ):
             compute_energy = 0.0
-            for sub in stage.sublayers:
-                workload = LayerWorkload.from_sublayer(sub)
-                compute_energy += self.cost_model.energy_mj(workload, unit, scale)
-            exit_workload = LayerWorkload.from_layer(stage.exit_head)
-            compute_energy += self.cost_model.energy_mj(exit_workload, unit, scale)
+            if reuse_taus:
+                power = unit.power_w(scale)
+                for tau in stage_schedule.sublayer_latencies_ms:
+                    compute_energy += tau * power
+                compute_energy += stage_schedule.exit_latency_ms * power
+            else:
+                for workload in sub_workloads:
+                    compute_energy += self.cost_model.energy_mj(workload, unit, scale)
+                compute_energy += self.cost_model.energy_mj(exit_workload, unit, scale)
             transfer_energy = interconnect.transfer_energy_mj(stage.imported_bytes())
             performances.append(
                 StagePerformance(

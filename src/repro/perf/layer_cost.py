@@ -85,13 +85,13 @@ class LayerWorkload:
         cls, layer: Layer, in_units: int | None = None, out_units: int | None = None
     ) -> "LayerWorkload":
         """Build the workload of a (possibly partitioned) layer slice."""
-        in_u, out_u = layer.resolve_units(in_units, out_units)
+        flops, input_bytes, output_bytes, params = layer.slice_costs(in_units, out_units)
         return cls(
             kind=layer.kind,
-            flops=layer.flops(in_units=in_u, out_units=out_u),
-            input_bytes=float(layer.input_bytes(in_u)),
-            output_bytes=float(layer.output_bytes(out_u)),
-            weight_bytes=float(layer.params(in_units=in_u, out_units=out_u)) * BYTES_PER_ELEMENT,
+            flops=flops,
+            input_bytes=float(input_bytes),
+            output_bytes=float(output_bytes),
+            weight_bytes=float(params) * BYTES_PER_ELEMENT,
         )
 
     @classmethod

@@ -12,14 +12,22 @@ transfer ``u_{k->i}``.  The cumulative latency recursion of Eq. 8,
 is evaluated layer by layer; the latency of a stage is the cumulative latency
 of its last layer plus its exit head (Eq. 9), and the stall time (the waiting
 visible in Fig. 3) is reported separately for analysis.
+
+One evaluation builds each sub-layer's and exit head's :class:`LayerWorkload`
+once (:func:`stage_workloads`, shared with the energy pass of
+:mod:`repro.perf.evaluator`), prices every feature transfer as one array
+(:meth:`Interconnect.transfer_latencies_ms`) and runs the recursion over
+plain floats.  The cost model is queried per workload in stage, then layer,
+order, then once per exit head -- the sequence a stateful (noisy) model
+sees.  The row-wise reference, built from ``LayerWorkload.from_sublayer``
+and the scalar transfer model, is kept in the test suite and must agree bit
+for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
-
-import numpy as np
+from typing import Optional, Sequence, Tuple
 
 from ..errors import MappingError
 from ..nn.multiexit import DynamicNetwork
@@ -27,7 +35,7 @@ from ..soc.compute_unit import ComputeUnit
 from ..soc.interconnect import Interconnect
 from .layer_cost import CostModel, LayerWorkload
 
-__all__ = ["StageSchedule", "ScheduleResult", "simulate_schedule"]
+__all__ = ["StageSchedule", "ScheduleResult", "simulate_schedule", "stage_workloads"]
 
 
 @dataclass(frozen=True)
@@ -70,12 +78,28 @@ class ScheduleResult:
         return self.stages[index]
 
 
+#: Per-stage workloads: the sub-layer chain in layer order, then the exit head.
+StageWorkloads = Tuple[Tuple[LayerWorkload, ...], LayerWorkload]
+
+
+def stage_workloads(dynamic_network: DynamicNetwork) -> Tuple[StageWorkloads, ...]:
+    """The :class:`LayerWorkload` of every sub-layer and exit head, per stage."""
+    return tuple(
+        (
+            tuple(LayerWorkload.from_sublayer(sub) for sub in stage.sublayers),
+            LayerWorkload.from_layer(stage.exit_head),
+        )
+        for stage in dynamic_network.stages
+    )
+
+
 def simulate_schedule(
     dynamic_network: DynamicNetwork,
     units: Sequence[ComputeUnit],
     scales: Sequence[float],
     cost_model: CostModel,
     interconnect: Interconnect,
+    workloads: Optional[Sequence[StageWorkloads]] = None,
 ) -> ScheduleResult:
     """Evaluate Eq. 8-9 for a dynamic network mapped onto ``units``.
 
@@ -92,6 +116,9 @@ def simulate_schedule(
         Per-layer latency oracle or surrogate.
     interconnect:
         Shared-memory transfer model providing the ``u_{k->i}`` terms.
+    workloads:
+        :func:`stage_workloads` of ``dynamic_network``, when the caller
+        already built them; derived here otherwise.
     """
     num_stages = dynamic_network.num_stages
     if len(units) != num_stages or len(scales) != num_stages:
@@ -101,63 +128,59 @@ def simulate_schedule(
     names = [unit.name for unit in units]
     if len(set(names)) != len(names):
         raise MappingError(f"stages must map to distinct compute units, got {names}")
+    if workloads is None:
+        workloads = stage_workloads(dynamic_network)
 
     num_layers = dynamic_network.num_layers
-    indicator = dynamic_network.scheme.indicator
     scheme = dynamic_network.scheme
+    reused = scheme.indicator.values.tolist()
 
-    # Per-stage, per-layer raw latencies tau^j_i.
-    taus = np.zeros((num_stages, num_layers))
-    for stage in dynamic_network.stages:
-        for sub in stage.sublayers:
-            workload = LayerWorkload.from_sublayer(sub)
-            taus[stage.index, sub.layer_index] = cost_model.latency_ms(
-                workload, units[stage.index], scales[stage.index]
-            )
+    # Per-stage, per-layer raw latencies tau^j_i, then every exit head: the
+    # cost model sees the same call sequence as a stage-by-stage walk.
+    taus = [
+        [float(cost_model.latency_ms(workload, unit, scale)) for workload in sub_workloads]
+        for (sub_workloads, _), unit, scale in zip(workloads, units, scales)
+    ]
+    exit_latencies = [
+        float(cost_model.latency_ms(exit_workload, unit, scale))
+        for (_, exit_workload), unit, scale in zip(workloads, units, scales)
+    ]
 
     # Transfer latency of stage k's layer-j output when imported by a later
     # stage (Eq. 8's u term).  All stages live on different CUs, so a reused
     # feature always crosses the shared memory.
-    transfer = np.zeros((num_stages, num_layers))
-    for stage_index in range(num_stages):
-        for layer_index, layer in enumerate(scheme.backbone):
-            feature_bytes = layer.output_bytes(scheme.stage_channels(stage_index, layer_index))
-            transfer[stage_index, layer_index] = interconnect.transfer_latency_ms(feature_bytes)
+    transfer = interconnect.transfer_latencies_ms(scheme.output_bytes_table()).tolist()
 
-    cumulative = np.zeros((num_stages, num_layers))
-    stalls = np.zeros(num_stages)
-    transfer_totals = np.zeros(num_stages)
+    cumulative = [[0.0] * num_layers for _ in range(num_stages)]
+    stalls = [0.0] * num_stages
+    transfer_totals = [0.0] * num_stages
     for layer_index in range(num_layers):
         for stage_index in range(num_stages):
-            own_ready = cumulative[stage_index, layer_index - 1] if layer_index > 0 else 0.0
+            own_ready = cumulative[stage_index][layer_index - 1] if layer_index > 0 else 0.0
             dependency_ready = own_ready
             if layer_index > 0:
                 for k in range(stage_index):
-                    if indicator.reused(k, layer_index - 1):
-                        ready = cumulative[k, layer_index - 1] + transfer[k, layer_index - 1]
-                        transfer_totals[stage_index] += transfer[k, layer_index - 1]
+                    if reused[k][layer_index - 1]:
+                        ready = cumulative[k][layer_index - 1] + transfer[k][layer_index - 1]
+                        transfer_totals[stage_index] += transfer[k][layer_index - 1]
                         dependency_ready = max(dependency_ready, ready)
             stalls[stage_index] += max(0.0, dependency_ready - own_ready)
-            cumulative[stage_index, layer_index] = (
-                taus[stage_index, layer_index] + dependency_ready
+            cumulative[stage_index][layer_index] = (
+                taus[stage_index][layer_index] + dependency_ready
             )
 
-    schedules = []
-    for stage in dynamic_network.stages:
-        exit_workload = LayerWorkload.from_layer(stage.exit_head)
-        exit_latency = cost_model.latency_ms(
-            exit_workload, units[stage.index], scales[stage.index]
-        )
-        schedules.append(
+    return ScheduleResult(
+        stages=tuple(
             StageSchedule(
-                stage_index=stage.index,
-                unit_name=units[stage.index].name,
-                scale=float(scales[stage.index]),
-                sublayer_latencies_ms=tuple(taus[stage.index].tolist()),
-                cumulative_latencies_ms=tuple(cumulative[stage.index].tolist()),
-                exit_latency_ms=float(exit_latency),
-                transfer_latency_ms=float(transfer_totals[stage.index]),
-                stall_ms=float(stalls[stage.index]),
+                stage_index=stage_index,
+                unit_name=units[stage_index].name,
+                scale=float(scales[stage_index]),
+                sublayer_latencies_ms=tuple(taus[stage_index]),
+                cumulative_latencies_ms=tuple(cumulative[stage_index]),
+                exit_latency_ms=exit_latencies[stage_index],
+                transfer_latency_ms=transfer_totals[stage_index],
+                stall_ms=stalls[stage_index],
             )
+            for stage_index in range(num_stages)
         )
-    return ScheduleResult(stages=tuple(schedules))
+    )

@@ -26,6 +26,7 @@ load directly.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import types
@@ -194,6 +195,13 @@ class MeasuredWaitExtractor:
     family_name: str = ""
     cache: Optional[object] = field(default=None, repr=False, compare=False)
 
+    @functools.cached_property
+    def scenario(self) -> str:
+        """The replay's serving-digest scenario half, built on first use."""
+        from ..serving.result_cache import serving_scenario
+
+        return serving_scenario(self.platform, self.workload, self.duration_ms, self.traffic_seed)
+
     def __call__(self, item: EvaluatedConfig) -> float:
         from ..serving.bridge import measured_serving_metrics
 
@@ -205,6 +213,7 @@ class MeasuredWaitExtractor:
             seed=self.traffic_seed,
             cache=self.cache,
             family_name=self.family_name,
+            scenario=self.scenario,
         )
         return metrics.mean_queueing_ms
 

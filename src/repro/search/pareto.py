@@ -252,6 +252,7 @@ def select_measured_serving(
     """
     from ..serving.bridge import measured_serving_metrics
     from ..serving.families import WorkloadFamily
+    from ..serving.result_cache import serving_scenario
 
     if not evaluated:
         raise SearchError("cannot select from an empty set of configurations")
@@ -264,6 +265,7 @@ def select_measured_serving(
         int(seed), int(members), probe_ms=float(duration_ms)
     )
     candidates = _filter_by_accuracy_drop(evaluated, max_accuracy_drop)
+    scenario = serving_scenario(platform, workload, float(duration_ms), traffic_seed)
 
     def measured_sojourn(item: EvaluatedConfig) -> float:
         accuracy = max(1e-3, item.accuracy)
@@ -276,6 +278,7 @@ def select_measured_serving(
             seed=traffic_seed,
             cache=cache,
             family_name=family.name,
+            scenario=scenario,
         )
         return (item.latency_ms + metrics.mean_queueing_ms) * accuracy_term
 

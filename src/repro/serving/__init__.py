@@ -90,7 +90,7 @@ from .policies import (
     build_policy,
     rescale_deployment,
 )
-from .result_cache import ServingResultCache, deployment_digest, serving_digest
+from .result_cache import ServingResultCache, deployment_digest, serving_digest, serving_scenario
 from .simulator import RequestRecord, ServingResult, TrafficSimulator
 from .workload import (
     ArrivalProcess,
@@ -120,6 +120,7 @@ __all__ = [
     "build_policy",
     "ServingResultCache",
     "serving_digest",
+    "serving_scenario",
     "deployment_digest",
     "measured_serving_metrics",
     "TrafficSimulator",

@@ -118,6 +118,7 @@ def measured_serving_metrics(
     name: Optional[str] = None,
     policy: Optional[ServingPolicy] = None,
     policy_tag: str = "static",
+    scenario: Optional[str] = None,
 ) -> ServingMetrics:
     """Measured serving behaviour of one candidate, simulated at most once.
 
@@ -137,6 +138,11 @@ def measured_serving_metrics(
     caller must then pass a ``policy_tag`` that identifies the policy *and*
     the deployment set it switches over, since the digest still keys on the
     anchor ``candidate``.
+
+    ``scenario`` is the precomputed
+    :func:`~repro.serving.result_cache.serving_scenario` of this call's
+    platform, workload and budget, for callers replaying one scenario
+    against many candidates.
     """
     deployment = (
         candidate
@@ -153,6 +159,7 @@ def measured_serving_metrics(
             seed,
             deadline_ms=deadline_ms,
             policy_tag=policy_tag,
+            scenario=scenario,
         )
         hit = cache.lookup(digest)
         if hit is not None:

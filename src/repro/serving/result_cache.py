@@ -54,6 +54,7 @@ __all__ = [
     "ServingCacheRecorder",
     "MeasuredCellStats",
     "serving_digest",
+    "serving_scenario",
     "deployment_digest",
 ]
 
@@ -85,8 +86,7 @@ def deployment_digest(deployment: Deployment) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def serving_digest(
-    deployment: Deployment,
+def serving_scenario(
     platform: Platform,
     workload: Union[ArrivalProcess, Sequence[Request]],
     duration_ms: float,
@@ -94,22 +94,19 @@ def serving_digest(
     deadline_ms: Optional[float] = None,
     policy_tag: str = "static",
 ) -> str:
-    """Content key of one simulated replay: deployment x scenario x budget.
+    """Scenario half of a :func:`serving_digest` key: all but the deployment.
 
-    The workload contributes its ``repr`` (family members are frozen
-    dataclasses whose repr encodes every parameter), the platform its
-    content-bearing repr, and the replay budget the duration, deadline,
-    traffic seed and policy tag — so any change that could alter a single
-    simulated record changes the key.
+    A search replays one scenario against every candidate, so callers that
+    key many deployments build this once and pass it as ``scenario=``; the
+    platform repr alone costs more than the rest of a digest.
     """
     workload_identity = (
         repr(workload)
         if isinstance(workload, ArrivalProcess)
         else repr(tuple(workload))
     )
-    payload = "\n".join(
+    return "\n".join(
         [
-            deployment_digest(deployment),
             repr(platform),
             workload_identity,
             repr(float(duration_ms)),
@@ -118,6 +115,34 @@ def serving_digest(
             policy_tag,
         ]
     )
+
+
+def serving_digest(
+    deployment: Deployment,
+    platform: Platform,
+    workload: Union[ArrivalProcess, Sequence[Request]],
+    duration_ms: float,
+    seed: int,
+    deadline_ms: Optional[float] = None,
+    policy_tag: str = "static",
+    *,
+    scenario: Optional[str] = None,
+) -> str:
+    """Content key of one simulated replay: deployment x scenario x budget.
+
+    The workload contributes its ``repr`` (family members are frozen
+    dataclasses whose repr encodes every parameter), the platform its
+    content-bearing repr, and the replay budget the duration, deadline,
+    traffic seed and policy tag — so any change that could alter a single
+    simulated record changes the key.  ``scenario`` is
+    :func:`serving_scenario` of the same arguments, precomputed; when given,
+    the scenario arguments are not read again.
+    """
+    if scenario is None:
+        scenario = serving_scenario(
+            platform, workload, duration_ms, seed, deadline_ms, policy_tag
+        )
+    payload = deployment_digest(deployment) + "\n" + scenario
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

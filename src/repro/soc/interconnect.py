@@ -13,6 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
+from ..errors import ConfigurationError
 from ..utils import check_non_negative, check_positive
 
 __all__ = ["Interconnect"]
@@ -49,6 +52,14 @@ class Interconnect:
         # Write + read pass over shared DRAM.
         copy_ms = 2 * num_bytes / (self.bandwidth_gbs * 1e9) * 1e3
         return self.sync_overhead_ms + copy_ms
+
+    def transfer_latencies_ms(self, num_bytes: np.ndarray) -> np.ndarray:
+        """:meth:`transfer_latency_ms` of every entry of an integer byte array."""
+        num_bytes = np.asarray(num_bytes)
+        if np.any(num_bytes < 0):
+            raise ConfigurationError(f"num_bytes must be non-negative, got {num_bytes!r}")
+        copy_ms = 2 * num_bytes / (self.bandwidth_gbs * 1e9) * 1e3
+        return np.where(num_bytes == 0, 0.0, self.sync_overhead_ms + copy_ms)
 
     def transfer_energy_mj(self, num_bytes: int) -> float:
         """Energy in millijoules to move ``num_bytes`` across units."""

@@ -8,6 +8,7 @@ and routes it through :func:`as_rng` so composition stays reproducible.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -38,14 +39,14 @@ def as_rng(seed: int | np.random.Generator | None) -> np.random.Generator:
 
 def check_positive(value: float, name: str) -> float:
     """Validate that ``value`` is strictly positive and return it."""
-    if not np.isfinite(value) or value <= 0:
+    if not math.isfinite(value) or value <= 0:
         raise ConfigurationError(f"{name} must be a positive finite number, got {value!r}")
     return float(value)
 
 
 def check_non_negative(value: float, name: str) -> float:
     """Validate that ``value`` is finite and >= 0 and return it."""
-    if not np.isfinite(value) or value < 0:
+    if not math.isfinite(value) or value < 0:
         raise ConfigurationError(f"{name} must be a non-negative finite number, got {value!r}")
     return float(value)
 
@@ -53,7 +54,7 @@ def check_non_negative(value: float, name: str) -> float:
 def check_fraction(value: float, name: str, *, allow_zero: bool = True) -> float:
     """Validate that ``value`` lies in ``[0, 1]`` (or ``(0, 1]``)."""
     lower_ok = value >= 0 if allow_zero else value > 0
-    if not np.isfinite(value) or not lower_ok or value > 1:
+    if not math.isfinite(value) or not lower_ok or value > 1:
         bound = "[0, 1]" if allow_zero else "(0, 1]"
         raise ConfigurationError(f"{name} must lie in {bound}, got {value!r}")
     return float(value)

@@ -10,9 +10,11 @@ shared file.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import multiprocessing
+import pickle
 
 import pytest
 
@@ -23,8 +25,9 @@ from repro.serving.result_cache import (
     ServingResultCache,
     deployment_digest,
     serving_digest,
+    serving_scenario,
 )
-from repro.serving.workload import PoissonArrivals
+from repro.serving.workload import ArrivalProcess, OnOffBursts, PoissonArrivals, Request
 from repro.soc.presets import get_platform
 
 PLATFORM = get_platform("jetson-agx-xavier")
@@ -91,6 +94,63 @@ class TestDigests:
         assert base != serving_digest(
             deployment, PLATFORM, PoissonArrivals(rate_rps=60.0), 1000.0, 0
         )
+
+
+def _inline_digest(deployment, platform, workload, duration_ms, seed, deadline_ms, policy_tag):
+    """The serving-digest payload as one inline join, deployment half first."""
+    workload_identity = (
+        repr(workload) if isinstance(workload, ArrivalProcess) else repr(tuple(workload))
+    )
+    payload = "\n".join(
+        [
+            deployment_digest(deployment),
+            repr(platform),
+            workload_identity,
+            repr(float(duration_ms)),
+            repr(None if deadline_ms is None else float(deadline_ms)),
+            repr(int(seed)),
+            policy_tag,
+        ]
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
+class TestScenarioHalf:
+    DEPLOYMENTS = (_deployment("a", 4.0), _deployment("b", 7.5))
+    PLATFORMS = (PLATFORM, get_platform("mobile-big-little"))
+    WORKLOADS = (
+        WORKLOAD,
+        OnOffBursts(burst_rps=80.0, idle_rps=5.0, burst_ms=200.0, idle_ms=300.0),
+        (Request(arrival_ms=0.0), Request(arrival_ms=3.5, tenant="b", deadline_ms=20.0)),
+    )
+
+    @pytest.mark.parametrize("deadline_ms", [None, 50, 12.5])
+    @pytest.mark.parametrize("policy_tag", ["static", "dvfs-governor", "switch:0123abcd"])
+    def test_keys_match_the_inline_formula(self, deadline_ms, policy_tag):
+        for platform in self.PLATFORMS:
+            for workload in self.WORKLOADS:
+                scenario = serving_scenario(
+                    platform, workload, 400, 7, deadline_ms=deadline_ms, policy_tag=policy_tag
+                )
+                for deployment in self.DEPLOYMENTS:
+                    expected = _inline_digest(
+                        deployment, platform, workload, 400, 7, deadline_ms, policy_tag
+                    )
+                    arguments = (deployment, platform, workload, 400, 7, deadline_ms, policy_tag)
+                    assert serving_digest(*arguments) == expected
+                    assert serving_digest(*arguments, scenario=scenario) == expected
+
+    def test_measured_wait_extractor_keys_its_scenario_once(self):
+        from repro.search.objectives import MeasuredWaitExtractor
+
+        extractor = MeasuredWaitExtractor(
+            platform=PLATFORM, workload=WORKLOAD, traffic_seed=3, duration_ms=400.0
+        )
+        assert extractor.scenario == serving_scenario(PLATFORM, WORKLOAD, 400.0, 3)
+        assert extractor.scenario is extractor.scenario
+        # Derived, not identity: objective-set fingerprints read the repr.
+        assert "scenario" not in repr(extractor)
+        assert pickle.loads(pickle.dumps(extractor)) == extractor
 
 
 class TestInMemory:
