@@ -1,8 +1,8 @@
 """Serving throughput bench: static vs. adaptive policies under bursty load.
 
 Beyond the paper: Table II ranks mappings by isolated per-sample averages;
-this bench deploys the searched Pareto points behind the discrete-event
-traffic simulator and sweeps offered load over a bursty (on/off) scenario.
+this bench deploys the searched Pareto points behind the traffic
+simulator and sweeps offered load over a bursty (on/off) scenario.
 For each load level it reports achieved requests/sec, p50/p99 latency and
 energy per request for
 
@@ -19,6 +19,10 @@ spending more energy on every request, which the switcher only spends during
 surges), while staying cheaper per request than always serving the latency
 point.
 
+It also records the replay speed itself: simulated requests per second of
+one static front replay and one switcher replay at the top load (simulation
+plus metric reduction, best of three), emitted to ``BENCH_serving.json``.
+
 ``REPRO_SERVING_SMOKE=1`` shrinks the search budget and trace (CI smoke
 mode) without changing the assertions.
 
@@ -31,6 +35,7 @@ import os
 import timeit
 from dataclasses import replace
 
+from perf_trajectory import emit
 from repro.core.framework import MapAndConquer
 from repro.core.report import format_table
 from repro.nn.models import visformer
@@ -54,6 +59,19 @@ GENERATIONS = 12
 POPULATION = 20
 DURATION_MS = 20_000.0 if SMOKE else 60_000.0
 LOAD_MULTIPLIERS = (1.0,) if SMOKE else (0.4, 0.7, 1.0)
+
+
+def _replay_rate(platform, policy, requests) -> float:
+    """Simulated requests per second of one replay plus its metrics (best of 3)."""
+    simulator = TrafficSimulator(platform, policy, seed=0)
+    seconds = min(
+        timeit.repeat(
+            lambda: simulator.run(requests, duration_ms=DURATION_MS).metrics(),
+            number=1,
+            repeat=3,
+        )
+    )
+    return len(requests) / seconds
 
 
 def test_serving_throughput(save_table):
@@ -81,6 +99,7 @@ def test_serving_throughput(save_table):
     rows = []
     top_load_metrics = {}
     top_load_requests = 0
+    top_load_stream = ()
     for multiplier in LOAD_MULTIPLIERS:
         scenario = OnOffBursts(
             burst_rps=multiplier * base_burst_rps,
@@ -91,6 +110,7 @@ def test_serving_throughput(save_table):
         requests = scenario.generate(DURATION_MS, seed=1)
         if multiplier == LOAD_MULTIPLIERS[-1]:
             top_load_requests = len(requests)
+            top_load_stream = requests
         offered_rps = 1000.0 * len(requests) / DURATION_MS
         policies = [
             StaticPolicy(best, name="static-best"),
@@ -141,12 +161,30 @@ def test_serving_throughput(save_table):
         m.num_requests == top_load_requests for m in top_load_metrics.values()
     )
 
+    emit(
+        "serving",
+        {
+            "smoke": SMOKE,
+            "requests": top_load_requests,
+            "static_replay_requests_per_s": round(
+                _replay_rate(platform, StaticPolicy(frugal), top_load_stream)
+            ),
+            "switcher_replay_requests_per_s": round(
+                _replay_rate(
+                    platform,
+                    AdaptiveSwitchPolicy(frugal, fast, high_watermark=8, low_watermark=2),
+                    top_load_stream,
+                )
+            ),
+        },
+    )
+
 
 def test_unit_lookup_does_not_dominate():
     """Micro-assert: ``Platform.unit()`` is O(1), not a per-call linear scan.
 
-    The serving event loop resolves unit names per request and scheduling
-    does so per stage; before the name -> (index, unit) map those were O(M)
+    Scheduling and deployment rescaling resolve unit names per stage;
+    before the name -> (index, unit) map those were O(M)
     scans.  On a 40-unit platform a scan makes the last-declared unit ~40x
     slower to resolve than the first; the dict makes lookup cost
     position-independent, so the ratio stays near 1.

@@ -13,7 +13,7 @@ package provides:
 * the pluggable search engine: ask/tell strategies (evolutionary, NSGA-II,
   random), serial/process-pool evaluation backends and a persistent
   content-keyed evaluation cache (:mod:`repro.engine`),
-* the serving subsystem: a deterministic discrete-event traffic simulator
+* the serving subsystem: a deterministic traffic simulator
   that deploys searched mappings behind per-compute-unit FIFO queues under
   constant/Poisson/bursty/diurnal arrival scenarios, with load-adaptive
   mapping switching and DVFS governing (:mod:`repro.serving`),

@@ -110,22 +110,15 @@ class ThresholdExitController:
             raise ConfigurationError("stage accuracies must be non-decreasing")
         return accuracies
 
-    def _confidence(
-        self, correct: np.ndarray, rng: np.random.Generator
-    ) -> np.ndarray:
-        """Noisy confidence estimates for a boolean correctness vector.
+    def _confidence(self, correct: np.ndarray, noise: np.ndarray) -> np.ndarray:
+        """Noisy confidence estimates for a boolean correctness array.
 
-        The single model both :meth:`simulate` and :meth:`decide` observe:
-        the true correctness probability, blurred by Gaussian noise, with
-        wrong predictions biased half a unit down, clipped to ``[0, 1]``.
+        The single model both :meth:`simulate` and :meth:`decide_many`
+        observe: the true correctness probability, blurred by the Gaussian
+        ``noise`` (standard deviation ``confidence_noise``), with wrong
+        predictions biased half a unit down, clipped to ``[0, 1]``.
         """
-        return np.clip(
-            correct.astype(float)
-            + rng.normal(0.0, self.confidence_noise, size=correct.size)
-            - 0.5 * (~correct),
-            0.0,
-            1.0,
-        )
+        return np.clip(correct.astype(float) + noise - 0.5 * (~correct), 0.0, 1.0)
 
     def decide(
         self,
@@ -135,9 +128,9 @@ class ThresholdExitController:
     ) -> ExitDecision:
         """Decide the terminating stage for one request of known difficulty.
 
-        This is the per-request counterpart of :meth:`simulate`, used by the
-        serving simulator (:mod:`repro.serving`) to make exit decisions in the
-        loop: the request is classifiable by stage ``i`` iff
+        This is the per-request counterpart of :meth:`simulate` and the
+        one-row case of :meth:`decide_many`, which the serving simulator
+        (:mod:`repro.serving`) uses: the request is classifiable by stage ``i`` iff
         ``difficulty <= stage_accuracies[i]``, and the controller exits at the
         first stage whose (noisy) confidence clears the threshold.
 
@@ -153,32 +146,102 @@ class ThresholdExitController:
         """
         check_fraction(difficulty, "difficulty")
         accuracies = self._validated_accuracies(stage_accuracies)
-        generator = self._rng if rng is None else as_rng(rng)
+        stages, correct = self.decide_many([difficulty], accuracies, rng=rng)
+        stage, right = int(stages[0]), bool(correct[0])
+        return ExitDecision(
+            stage=stage,
+            correct=right,
+            premature=stage < len(accuracies) - 1 and not right,
+            escalated=any(difficulty <= accuracy for accuracy in accuracies[:stage]),
+        )
 
-        escalated = False
-        last_stage = len(accuracies) - 1
-        for stage_index, stage_accuracy in enumerate(accuracies):
-            correct_here = bool(difficulty <= stage_accuracy)
-            if stage_index == last_stage:
-                return ExitDecision(
-                    stage=stage_index,
-                    correct=correct_here,
-                    premature=False,
-                    escalated=escalated,
-                )
-            confidence = float(
-                self._confidence(np.array([correct_here]), generator)[0]
+    def decide_many(
+        self,
+        difficulties: Sequence[float],
+        stage_accuracies: Sequence[float],
+        rng: "np.random.Generator | None" = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Decide the terminating stage of a sequence of requests.
+
+        Equivalent to one :meth:`decide` call per difficulty, in order, on
+        the same generator: the same exits, and the generator ends in the
+        same state.  A request exiting at ``stage`` of ``S`` draws one
+        confidence-noise sample per non-final stage it visits, i.e.
+        ``min(stage + 1, S - 1)`` normals.
+
+        Parameters
+        ----------
+        difficulties:
+            Latent difficulties of the requests, each in ``[0, 1]``.
+        stage_accuracies:
+            Non-decreasing per-stage exit accuracies.
+        rng:
+            Random generator for the confidence noise; ``None`` uses the
+            controller's own stream.
+
+        Returns
+        -------
+        ``(stages, correct)``: per request, the terminating stage index and
+        whether that exit's prediction is right.
+        """
+        accuracies = np.array(self._validated_accuracies(stage_accuracies))
+        difficulty = np.asarray(difficulties, dtype=float).reshape(-1)
+        if not np.all((difficulty >= 0.0) & (difficulty <= 1.0)):
+            raise ConfigurationError("difficulties must lie in [0, 1]")
+        generator = self._rng if rng is None else as_rng(rng)
+        # classifiable[i, s]: stage s classifies request i correctly.
+        classifiable = difficulty[:, None] <= accuracies
+        last = accuracies.size - 1
+        if last == 0:  # a single stage always exits there and draws nothing
+            stages = np.zeros(difficulty.size, dtype=int)
+        elif self.confidence_noise == 0.0:
+            # Noise-free confidences do not depend on the draws, so the
+            # decisions are one array pass and the draws only advance the
+            # stream by their total count.
+            exits_here = (
+                self._confidence(classifiable[:, :last], np.zeros((difficulty.size, last)))
+                >= self.threshold
             )
-            if confidence >= self.threshold:
-                return ExitDecision(
-                    stage=stage_index,
-                    correct=correct_here,
-                    premature=not correct_here,
-                    escalated=escalated,
-                )
-            if correct_here:
-                escalated = True
-        raise AssertionError("unreachable: the final stage always exits")
+            stages = np.where(exits_here.any(axis=1), exits_here.argmax(axis=1), last)
+            draws = int(np.minimum(stages + 1, last).sum())
+            generator.normal(0.0, self.confidence_noise, size=draws)
+        else:
+            stages = self._walk_noisy_exits(classifiable, generator)
+        return stages, classifiable[np.arange(difficulty.size), stages]
+
+    def _walk_noisy_exits(
+        self, classifiable: np.ndarray, generator: np.random.Generator
+    ) -> np.ndarray:
+        """Sequential exit walk under confidence noise, drawing in batches.
+
+        Request ``i`` consumes its noise after request ``i - 1``, so the walk
+        is sequential.  Every undecided request still draws at least once,
+        so a batch of one sample per undecided request never draws more
+        than the per-request calls would: the generator ends exactly where
+        sequential :meth:`decide` calls leave it.
+        """
+        count, num_stages = classifiable.shape
+        last = num_stages - 1
+        stages = np.full(count, last)
+        rows = classifiable[:, :last].tolist()
+        request, stage = 0, 0
+        while request < count:
+            noise = generator.normal(0.0, self.confidence_noise, size=count - request)
+            passes = {
+                right: (
+                    self._confidence(np.full(noise.size, right), noise) >= self.threshold
+                ).tolist()
+                for right in (True, False)
+            }
+            for draw in range(noise.size):
+                if passes[rows[request][stage]][draw]:
+                    stages[request] = stage
+                    request, stage = request + 1, 0
+                else:
+                    stage += 1
+                    if stage == last:
+                        request, stage = request + 1, 0
+        return stages
 
     def simulate(
         self,
@@ -225,7 +288,10 @@ class ThresholdExitController:
             if active.size == 0:
                 break
             correct_here = difficulty[active] <= stage_accuracy
-            confidence = self._confidence(correct_here, self._rng)
+            confidence = self._confidence(
+                correct_here,
+                self._rng.normal(0.0, self.confidence_noise, size=correct_here.size),
+            )
             exit_now = confidence >= self.threshold if not is_last else np.ones_like(correct_here)
             exiting = active[exit_now]
             exits[exiting] = stage_index

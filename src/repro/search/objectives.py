@@ -172,7 +172,7 @@ class MeasuredWaitExtractor:
     Where :class:`ExpectedWaitExtractor` answers from the M/D/1 formula, this
     extractor distils the candidate into a
     :class:`~repro.serving.policies.Deployment` and replays a short seeded
-    traffic scenario through the deterministic event-loop simulator
+    traffic scenario through the deterministic serving simulator
     (:func:`~repro.serving.bridge.measured_serving_metrics`), reading the
     measured ``mean_queueing_ms`` — directly comparable to the proxy, but
     aware of burst shapes, transient queue build-up and the finite horizon

@@ -1,4 +1,4 @@
-"""Serving under load: a discrete-event traffic simulator for mappings.
+"""Serving under load: a deterministic traffic simulator for mappings.
 
 The paper evaluates each mapping on isolated samples (Table II); this
 subsystem deploys searched Pareto mappings behind per-compute-unit FIFO
@@ -10,8 +10,8 @@ this time dropping the "one request at a time" idealisation:
   Poisson, bursty on/off, diurnal, multi-tenant),
 * :mod:`repro.serving.policies` -- deployments and runtime policies (static,
   hysteresis mapping-switcher, DVFS governor),
-* :mod:`repro.serving.simulator` -- the deterministic event loop with the
-  threshold exit controller deciding exits per request,
+* :mod:`repro.serving.simulator` -- the deterministic per-unit FIFO replay
+  with the threshold exit controller deciding exits per request,
 * :mod:`repro.serving.metrics` -- tail latency, throughput, deadline misses,
   utilisation, energy, JSONL trace export,
 * :mod:`repro.serving.bridge` -- re-rank ``MapAndConquer.search`` results by
@@ -27,7 +27,7 @@ this time dropping the "one request at a time" idealisation:
 * :mod:`repro.serving.fleet` -- heterogeneous fleets of instances behind a
   pluggable deterministic router with an autoscaler (boot latency, idle
   power), each instance replaying its sub-stream through the unchanged
-  event loop,
+  single-board simulator,
 * :mod:`repro.serving.fleet_metrics` -- fleet-level pooled tails, dynamic +
   idle joules, utilisation and the byte-deterministic fleet trace.
 """

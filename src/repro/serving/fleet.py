@@ -4,7 +4,7 @@ One :class:`~repro.serving.simulator.TrafficSimulator` deploys one mapping on
 one board; a production service runs a *fleet* — N instances across mixed zoo
 platforms, each serving its own :class:`~repro.serving.policies.Deployment`
 drawn from that platform's Pareto front.  This module simulates such fleets
-deterministically while reusing the per-CU FIFO event loop unchanged:
+deterministically while reusing the per-CU FIFO simulator unchanged:
 
 1. **Routing pass** — the shared request stream (one seeded
    :class:`~repro.serving.workload.ArrivalProcess`) is walked in arrival
@@ -554,7 +554,7 @@ class FleetSimulator:
         assignments, dropped, events, states, initial_active = self._route(ordered)
 
         # Replay pass: each instance's sub-stream through the unchanged
-        # per-CU event loop, seeded exactly like single-instance serving.
+        # single-board simulator, seeded exactly like single-instance serving.
         per_instance: List[List[int]] = [[] for _ in self.instances]
         for global_index, instance_index in enumerate(assignments):
             if instance_index >= 0:

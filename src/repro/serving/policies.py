@@ -14,7 +14,7 @@ compute units.  Policies pick a deployment per request from the live load:
   frugal when the queue drains).
 
 Policies are deliberately state-machine simple so their decisions are
-reproducible and unit-testable in isolation from the event loop.
+reproducible and unit-testable in isolation from the simulator.
 """
 
 from __future__ import annotations

@@ -61,8 +61,8 @@ class Platform:
         if len(set(names)) != len(names):
             raise PlatformError(f"platform {self.name!r} has duplicate compute-unit names")
         object.__setattr__(self, "compute_units", tuple(self.compute_units))
-        # Name lookups happen per stage in scheduling and per request in the
-        # serving event loop, so they must not scan the unit tuple each time.
+        # Name lookups happen per stage in scheduling and in deployment
+        # rescaling, so they must not scan the unit tuple each time.
         object.__setattr__(
             self,
             "_unit_lookup",
