@@ -53,7 +53,7 @@ from ..engine.surrogate import SurrogateSettings
 from ..errors import ConfigurationError
 from ..nn.graph import NetworkGraph
 from ..search.constraints import SearchConstraints
-from ..search.evaluation import EvaluatedConfig
+from ..search.evaluation import ConfigEvaluator, EvaluatedConfig
 from ..search.evolutionary import SearchResult
 from ..search.objectives import MeasuredObjectives, ObjectiveSet, paper_objective
 from ..search.space import MappingConfig
@@ -457,6 +457,30 @@ def _run_cell_offloaded(task: _CellTask) -> CellOutcome:
     return CellOutcome(result=result, cache_export=handle.export_session())
 
 
+def _evaluate_through_cache(
+    evaluator: ConfigEvaluator, configs: Sequence[MappingConfig], cache: EvaluationCache
+) -> List[EvaluatedConfig]:
+    """Evaluate ``configs`` in order, reusing and extending ``cache``.
+
+    Lookups use :meth:`EvaluationCache.peek`, so the cache's hit-rate
+    statistics keep describing the searches alone; the misses are evaluated
+    and persisted with one :meth:`EvaluationCache.store_many`.
+    """
+    digests = [evaluator.content_digest(config) for config in configs]
+    resolved: Dict[str, EvaluatedConfig] = {}
+    fresh: List[Tuple[str, EvaluatedConfig]] = []
+    for digest, config in zip(digests, configs):
+        if digest in resolved:
+            continue
+        value = cache.peek(digest)
+        if value is None:
+            value = evaluator.evaluate(config)
+            fresh.append((digest, value))
+        resolved[digest] = value
+    cache.store_many(fresh)
+    return [resolved[digest] for digest in digests]
+
+
 def run_campaign(
     network: NetworkGraph,
     platforms: Sequence[Union[str, Platform]],
@@ -502,7 +526,9 @@ def run_campaign(
         must be a name (``"serial"`` / ``"process"``), not an instance — a
         backend instance is bound to one platform's evaluator, and the
         campaign needs a fresh one per cell.  The cache (object or JSONL
-        path) is shared by the whole grid.
+        path) is shared by the whole grid, and the portability
+        re-evaluations resolve through it too, so a rerun over a
+        persistent cache and a full checkpoint evaluates nothing.
     num_stages:
         Stage count used on *every* platform; defaults to the smallest unit
         count in the grid, so every searched mapping is translatable to
@@ -915,12 +941,11 @@ def run_campaign(
                     if cell.platform_name == target.name
                     and cell.scenario_name == scenario.name
                 )
-                transferred = [
-                    target_framework.evaluate(
-                        translate_config(item.config, source, target)
-                    )
-                    for item in source_cell.front
-                ]
+                transferred = _evaluate_through_cache(
+                    target_framework.evaluator,
+                    [translate_config(item.config, source, target) for item in source_cell.front],
+                    shared_cache,
+                )
                 best_cross = min(float(objective(item)) for item in transferred)
                 portability.append(
                     PortabilityEntry(

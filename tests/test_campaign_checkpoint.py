@@ -103,6 +103,33 @@ class TestResumeByteIdentity:
         # merged back so the grid-wide cache stays complete.
         assert len(cache) > 0
 
+    def test_cache_backed_rerun_evaluates_nothing(
+        self, tiny_network, tmp_path, monkeypatch, baseline_summary
+    ):
+        """Portability re-evaluations go through the persistent shared cache."""
+        from repro.search.evaluation import ConfigEvaluator
+
+        calls = {"count": 0}
+        original = ConfigEvaluator.evaluate
+
+        def counting(self, config):
+            calls["count"] += 1
+            return original(self, config)
+
+        monkeypatch.setattr(ConfigEvaluator, "evaluate", counting)
+        options = dict(
+            seed=SEED, checkpoint_dir=tmp_path / "ckpt", cache=tmp_path / "cache.jsonl"
+        )
+        cold = run_campaign(tiny_network, GRID, **options, **BUDGET)
+        assert calls["count"] > 0
+        assert campaign_summary(cold) == baseline_summary
+
+        calls["count"] = 0
+        rerun = run_campaign(tiny_network, GRID, **options, **BUDGET)
+        assert calls["count"] == 0
+        assert rerun.portability == cold.portability
+        assert campaign_summary(rerun) == campaign_summary(cold)
+
 
 class TestCellParallelism:
     def test_cell_parallel_matches_sequential(self, tiny_network, baseline_summary):

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import base64
+import dataclasses
 import json
+import logging
+import pickle
 
 import pytest
 
+from repro.engine import cache as cache_module
 from repro.engine.cache import CacheStats, EvaluationCache
 from repro.errors import ConfigurationError
 from repro.search.evaluation import ConfigEvaluator
@@ -244,9 +249,6 @@ class TestPersistence:
             # Valid version but no "key" field (foreign writer).
             stream.write(json.dumps({"version": 1, "payload": "AAAA"}) + "\n")
             # Valid shape but the payload is not an EvaluatedConfig pickle.
-            import base64
-            import pickle
-
             stream.write(
                 json.dumps(
                     {
@@ -276,12 +278,10 @@ class TestPersistence:
         full = path.read_text(encoding="utf-8")
         lines = full.splitlines(keepends=True)
         # Chop the last line in half, no trailing newline — exactly what a
-        # SIGKILL during _append's write leaves behind.
+        # SIGKILL during the cache's append leaves behind.
         path.write_text(
             "".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2], encoding="utf-8"
         )
-
-        import logging
 
         with caplog.at_level(logging.WARNING, logger="repro.engine.cache"):
             reader = EvaluationCache(path=path)
@@ -299,11 +299,23 @@ class TestPersistence:
         for digest, value in evaluated_pair:
             writer.store(digest, value)
 
-        import logging
-
         with caplog.at_level(logging.WARNING, logger="repro.engine.cache"):
             EvaluationCache(path=path)
         assert not caplog.records
+
+    def test_duplicate_lines_keep_the_first_and_count_once(self, evaluated_pair, tmp_path):
+        """Two writers on one file: first line wins, like store; loaded is distinct."""
+        (digest_a, value_a), (digest_b, value_b) = evaluated_pair
+        path = tmp_path / "cache.jsonl"
+        first, second = EvaluationCache(path=path), EvaluationCache(path=path)
+        first.store_many([(digest_a, value_a), (digest_b, value_b)])
+        second.store_many([(digest_a, value_b), (digest_b, value_b)])
+        assert len(path.read_text(encoding="utf-8").splitlines()) == 4
+
+        reader = EvaluationCache(path=path)
+        assert len(reader) == 2
+        assert reader.stats.loaded == 2
+        assert reader.peek(digest_a).latency_ms == value_a.latency_ms
 
 
 class TestFrameworkSharedCache:
@@ -336,3 +348,196 @@ class TestWarmSearches:
         assert [s.best_objective for s in warm.generations] == [
             s.best_objective for s in cold.generations
         ]
+
+
+def _searched_entries(network, platform):
+    from repro.core.framework import MapAndConquer
+
+    framework = MapAndConquer(network, platform, seed=0)
+    framework.search(generations=2, population_size=8, seed=0)
+    return list(framework.evaluation_cache.items())
+
+
+@pytest.fixture(scope="module", params=["resnet20/mobile-big-little", "visformer/xavier"])
+def searched(request):
+    """Every entry of a real search, on a conv and on a transformer model."""
+    from repro.nn.models import resnet20, visformer
+    from repro.soc.platform import jetson_agx_xavier
+    from repro.soc.presets import mobile_big_little
+
+    if request.param.startswith("resnet20"):
+        return _searched_entries(resnet20(), mobile_big_little())
+    return _searched_entries(visformer(), jetson_agx_xavier())
+
+
+def _lines(path):
+    return path.read_text(encoding="utf-8").splitlines()
+
+
+def _write_lines(path, lines):
+    path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+class TestSharedRankingFormat:
+    """Version-2 lines: each channel ranking is written once per file."""
+
+    def test_reloaded_components_pickle_byte_identically(self, searched, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        EvaluationCache(path=path).store_many(searched)
+        reader = EvaluationCache(path=path)
+        assert reader.stats.loaded == len(searched)
+        for digest, fresh in searched:
+            loaded = reader.peek(digest)
+            for name in ("config", "profile", "inference"):
+                assert pickle.dumps(getattr(loaded, name)) == pickle.dumps(getattr(fresh, name))
+            assert pickle.dumps(
+                dataclasses.replace(loaded.dynamic_network, ranking=None)
+            ) == pickle.dumps(dataclasses.replace(fresh.dynamic_network, ranking=None))
+            assert pickle.dumps(loaded.dynamic_network.ranking) == pickle.dumps(
+                fresh.dynamic_network.ranking
+            )
+
+    def test_reloaded_entries_keep_graph_identity(self, searched, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        EvaluationCache(path=path).store_many(searched)
+        for _, loaded in EvaluationCache(path=path).items():
+            dynamic = loaded.dynamic_network
+            network = dynamic.network
+            assert dynamic.scheme.network is network
+            for stage in dynamic.stages:
+                for index, sublayer in enumerate(stage.sublayers):
+                    assert sublayer.base is network.layers[index]
+                    assert dynamic.scheme.backbone[index] is network.layers[index]
+
+    def test_loaded_entries_share_one_ranking(self, searched, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        EvaluationCache(path=path).store_many(searched)
+        rankings = {
+            id(value.dynamic_network.ranking) for _, value in EvaluationCache(path=path).items()
+        }
+        assert len(rankings) == 1
+
+    def test_only_the_first_line_carries_the_blob(self, searched, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        cache = EvaluationCache(path=path)
+        for digest, value in searched[:3]:
+            cache.store(digest, value)
+        lines = _lines(path)
+        assert len(lines) == 3
+        records = [json.loads(line) for line in lines]
+        assert [record["version"] for record in records] == [2, 2, 2]
+        assert len(records[0]["shared"]) == 1
+        assert "shared" not in records[1] and "shared" not in records[2]
+        (blob,) = records[0]["shared"].values()
+        # Later lines drop the whole blob (minus slack for the mapping text).
+        assert len(lines[1]) < len(lines[0]) - len(blob) + 512
+        if searched[0][1].dynamic_network.network.name == "visformer":
+            # Visformer's ranking is ~90% of its entry; resnet20's is ~70%.
+            assert len(lines[1]) < len(lines[0]) / 4
+
+    def test_version_one_line_loads(self, searched, tmp_path):
+        digest, value = searched[0]
+        path = tmp_path / "cache.jsonl"
+        legacy = {
+            "version": 1,
+            "key": digest,
+            "metrics": {},
+            "mapping": value.config.describe(),
+            "payload": base64.b64encode(pickle.dumps(value)).decode("ascii"),
+        }
+        _write_lines(path, [json.dumps(legacy)])
+        loaded = EvaluationCache(path=path).peek(digest)
+        assert loaded is not None
+        assert pickle.dumps(loaded) == pickle.dumps(value)
+
+    def test_truncated_blob_line_skips_its_references(self, searched, tmp_path, caplog):
+        path = tmp_path / "cache.jsonl"
+        entries = searched[:3]
+        EvaluationCache(path=path).store_many(entries)
+        lines = _lines(path)
+        _write_lines(path, [lines[0][: len(lines[0]) // 2]] + lines[1:])
+
+        with caplog.at_level(logging.WARNING, logger="repro.engine.cache"):
+            second = EvaluationCache(path=path)
+        assert len(second) == 0
+        assert any(
+            "recovered 0 entries" in record.message and "skipped 3" in record.message
+            for record in caplog.records
+        )
+        # The next writer does not know the blob, so it writes it again.
+        second.store_many(entries)
+        assert "shared" in json.loads(_lines(path)[3])
+
+        third = EvaluationCache(path=path)
+        assert len(third) == len(entries)
+        assert third.stats.loaded == len(entries)
+
+    def test_unresolvable_reference_is_skipped(self, searched, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        EvaluationCache(path=path).store_many(searched[:2])
+        first, second = (json.loads(line) for line in _lines(path))
+        del first["shared"]
+        _write_lines(path, [json.dumps(first), json.dumps(second)])
+        assert len(EvaluationCache(path=path)) == 0
+
+    def test_blob_not_matching_its_key_is_skipped(self, searched, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        EvaluationCache(path=path).store_many(searched[:2])
+        first, second = (json.loads(line) for line in _lines(path))
+        (key,) = first["shared"]
+        first["shared"] = {key: base64.b64encode(pickle.dumps("forged")).decode("ascii")}
+        _write_lines(path, [json.dumps(first), json.dumps(second)])
+        assert len(EvaluationCache(path=path)) == 0
+
+    def test_two_writers_on_one_path_each_emit_the_blob(self, searched, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        first, second = EvaluationCache(path=path), EvaluationCache(path=path)
+        first.store_many(searched[:2])
+        second.store_many(searched[2:4])
+        records = [json.loads(line) for line in _lines(path)]
+        assert ["shared" in record for record in records] == [True, False, True, False]
+        reader = EvaluationCache(path=path)
+        assert len(reader) == 4
+        assert {digest for digest, _ in reader.items()} == {d for d, _ in searched[:4]}
+
+    def test_writer_that_loaded_the_blob_does_not_repeat_it(self, searched, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        EvaluationCache(path=path).store_many(searched[:2])
+        EvaluationCache(path=path).store_many(searched[2:4])
+        records = [json.loads(line) for line in _lines(path)]
+        assert ["shared" in record for record in records] == [True, False, False, False]
+
+    def test_failed_write_resends_the_blob(self, searched, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("a file where the cache directory should be", encoding="utf-8")
+        path = blocker / "cache.jsonl"
+        cache = EvaluationCache(path=path)
+        with pytest.raises(OSError):
+            cache.store_many(searched[:1])
+        blocker.unlink()
+        cache.store_many(searched[1:3])
+        records = [json.loads(line) for line in _lines(path)]
+        assert ["shared" in record for record in records] == [True, False]
+        assert len(EvaluationCache(path=path)) == 2
+
+    def test_shared_ref_outside_a_load_raises(self, searched, tmp_path):
+        with pytest.raises(pickle.UnpicklingError):
+            cache_module._shared_ref("0" * 64)
+        path = tmp_path / "cache.jsonl"
+        EvaluationCache(path=path).store_many(searched[:1])
+        payload = base64.b64decode(json.loads(_lines(path)[0])["payload"])
+        with pytest.raises(pickle.UnpicklingError):
+            pickle.loads(payload)
+
+    def test_memory_only_cache_never_pickles(self, searched, monkeypatch):
+        class NoPickle:
+            def __getattr__(self, name):
+                raise AssertionError(f"memory-only cache touched pickle.{name}")
+
+        monkeypatch.setattr(cache_module, "pickle", NoPickle())
+        cache = EvaluationCache()
+        (digest, value), *rest = searched[:3]
+        cache.store(digest, value)
+        cache.store_many(rest)
+        assert cache.lookup(digest) is value
+        assert len(cache.get_many([d for d, _ in rest])) == len(rest)
