@@ -9,50 +9,51 @@ the originals, so a resumed campaign renders a
 :func:`repro.core.report.campaign_summary` byte-identical to an
 uninterrupted run.
 
-The file holds three record *kinds* side by side (older files, written
-before the field existed, are read as ``search``):
+The file holds three record *kinds* side by side, each written and read by
+its own pair of methods (lines written before the ``kind`` field existed are
+read as ``search``):
 
-* ``search`` — one ``(platform, scenario)`` search cell carrying a
-  :class:`~repro.search.evolutionary.SearchResult`
-  (:meth:`CampaignCheckpoint.store` / :meth:`CampaignCheckpoint.load`);
-* ``serving`` — one ``(platform, family)`` serving cell of a
-  :func:`repro.campaign.serving_runner.run_serving_campaign`, carrying a
-  :class:`~repro.campaign.serving_runner.ServingCellResult`
-  (:meth:`CampaignCheckpoint.store_serving` /
-  :meth:`CampaignCheckpoint.load_serving`);
-* ``fleet`` — one ``(mix, family)`` fleet cell of a
-  :func:`repro.campaign.fleet_runner.run_fleet_campaign`, carrying a
-  :class:`~repro.campaign.fleet_runner.FleetCellResult`
-  (:meth:`CampaignCheckpoint.store_fleet` /
-  :meth:`CampaignCheckpoint.load_fleet`).  Fleet cells follow the serving
-  refresh discipline: a fingerprint mismatch (edited mix, re-searched
-  fronts, changed replay budget) drops the cell for re-running.
+* ``search`` — a ``(platform, scenario)`` cell's
+  :class:`~repro.search.evolutionary.SearchResult` (:meth:`~CampaignCheckpoint.store`,
+  :meth:`~CampaignCheckpoint.load`);
+* ``serving`` — a ``(platform, family)`` cell of
+  :func:`~repro.campaign.serving_runner.run_serving_campaign`
+  (:meth:`~CampaignCheckpoint.store_serving`, :meth:`~CampaignCheckpoint.load_serving`);
+* ``fleet`` — a ``(mix, family)`` cell of
+  :func:`~repro.campaign.fleet_runner.run_fleet_campaign`
+  (:meth:`~CampaignCheckpoint.store_fleet`, :meth:`~CampaignCheckpoint.load_fleet`).
 
 Safety model
 ------------
-Every line carries the campaign ``seed`` and a per-cell *fingerprint* of
-everything else that shapes that cell's result (network and platform
-contents — not just their names — stage count, strategy, resolved budget,
-scenario constraints, evaluator settings, warm-start mode; for serving
-cells: the family definition, the replay budget and the Pareto front it
-deploys).  On load:
+Every line carries the campaign ``seed`` and the :class:`CellExpectation`
+the cell was written under: a per-cell *fingerprint* of everything that
+shapes its result (network and platform contents — not just their names —
+stage count, strategy, resolved budget, scenario constraints, evaluator
+settings, warm-start mode and, for a warm-started cell, its donors'
+expectations; for serving and fleet cells the family
+definition, the replay budget and the Pareto fronts they deploy, and the
+mix), and for search cells the warm-start donor chain and the surrogate and
+objective-set tags.  Every kind is loaded under one discipline:
 
 * a **seed mismatch raises** :class:`~repro.errors.ConfigurationError` —
-  silently mixing results from a different seed would poison the whole grid;
-* a **search-cell fingerprint mismatch raises** too — the search budget or
-  evaluator settings changed, and re-using any part of the old grid would
-  mix incompatible searches;
-* a **serving-cell fingerprint mismatch is dropped and re-run** instead: a
-  family definition is *expected* to be tweaked between runs, and the right
-  response to a stale family (or a front re-searched under new settings) is
-  recomputing exactly the affected cells, never refusing the whole resume;
-* a cell for a **platform/scenario/family no longer in the grid** is ignored
-  (stale), and cells *added* to the grid simply are not in the file, so a
-  grown grid re-runs exactly the new cells;
-* a cell whose **warm-start donor chain changed** (platforms inserted before
-  it) is dropped and re-run — its seed population would differ;
+  the seed is the campaign's identity, and silently mixing results from a
+  different seed would poison the whole grid;
+* a cell whose written expectation differs from the current run's in any
+  field is **dropped and re-run**, counted in
+  :attr:`CheckpointStats.refreshed`: settings are expected to change
+  between runs (a tweaked family, a recalibrated board, a new budget), and
+  the right response is recomputing exactly the affected cells, never
+  refusing the whole resume.  Since a warm-started search cell's
+  fingerprint folds in its donors' expectations, a donor that changes
+  content under the same name re-runs every cell it seeds;
+* the file is append-only, so a re-run cell's new line supersedes the
+  dropped one; of the lines that match, the first per cell wins;
+* a cell for a **platform/scenario/family/mix no longer in the grid** is
+  ignored (stale), and cells *added* to the grid simply are not in the
+  file, so a grown grid re-runs exactly the new cells;
 * a **malformed line** (truncated by a mid-write crash, foreign writer) is
-  skipped and logged, never fatal.
+  skipped and logged by the :class:`~repro.jsonl_store.JsonlStore`, never
+  fatal.
 
 .. warning::
    The payload is a pickle, exactly like the evaluation cache's: only load
@@ -61,16 +62,15 @@ deploys).  On load:
 
 from __future__ import annotations
 
-import base64
 import hashlib
 import json
 import logging
-import pickle
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Mapping, Tuple, Union
+from typing import Callable, Dict, Mapping, Tuple, Union
 
 from ..errors import ConfigurationError
+from ..jsonl_store import JsonlStore, decode_payload, encode_payload
 from ..search.evolutionary import SearchResult
 
 __all__ = [
@@ -94,11 +94,34 @@ ServingCellKey = Tuple[str, str]
 #: A fleet cell's identity within one fleet campaign: (mix, family).
 FleetCellKey = Tuple[str, str]
 
-#: The two JSON fields forming each kind's cell key, in key order.
-_KEY_FIELDS = {
-    "search": ("platform", "scenario"),
-    "serving": ("platform", "family"),
-    "fleet": ("mix", "family"),
+#: Per record kind: the two JSON fields of its cell key, in key order, and
+#: the human-readable metric summary its lines carry.
+_KINDS: Dict[str, Tuple[Tuple[str, str], Callable[[object], Dict[str, object]]]] = {
+    "search": (
+        ("platform", "scenario"),
+        lambda result: {
+            "evaluations": result.num_evaluations,
+            "front": len(result.pareto),
+            "best_latency_ms": result.best.latency_ms,
+            "best_energy_mj": result.best.energy_mj,
+        },
+    ),
+    "serving": (
+        ("platform", "family"),
+        lambda result: {
+            "members": len(result.members),
+            "p99_latency_ms": result.p99_latency_ms,
+            "served_p99_per_joule": result.served_p99_per_joule,
+        },
+    ),
+    "fleet": (
+        ("mix", "family"),
+        lambda result: {
+            "members": len(result.members),
+            "p99_latency_ms": result.p99_latency_ms,
+            "total_joules": result.total_joules,
+        },
+    ),
 }
 
 
@@ -108,7 +131,7 @@ def campaign_fingerprint(**fields: object) -> str:
     Values are rendered with ``repr`` through a canonical JSON encoding, so
     any change to the search budget, scenario constraints or evaluator
     settings yields a different fingerprint and checkpointed cells written
-    under the old settings refuse to mix with the new run.
+    under the old settings are re-run rather than restored.
     """
     canonical = json.dumps(
         {name: repr(value) for name, value in fields.items()}, sort_keys=True
@@ -120,6 +143,8 @@ def campaign_fingerprint(**fields: object) -> str:
 class CellExpectation:
     """What the current run demands of a checkpointed cell to accept it.
 
+    ``fingerprint`` digests everything that shapes the cell's result and
+    ``donors`` names the platforms whose fronts warm-start it.
     ``surrogate`` is the fingerprint tag of the cell's surrogate settings
     (``""`` for a pure-oracle cell) and ``objectives`` the tag of the cell's
     :class:`~repro.search.objectives.ObjectiveSet` (``""`` for the default
@@ -128,13 +153,11 @@ class CellExpectation:
     (``measured_objectives=``) puts each cell's *bound* per-platform
     fingerprint here — platform, workload family, traffic seed, replay
     duration — so changing the measured recipe re-runs exactly the affected
-    cells while pre-measured checkpoints restore unchanged.  Both tags are
-    deliberately *not* folded into the base fingerprint: a base mismatch
-    means incompatible searches and raises, while a surrogate or objectives
-    mismatch only means the acceleration or the optimised axes changed — the
-    affected cells are silently re-run (counted in
-    :attr:`CheckpointStats.refreshed`), exactly like serving cells whose
-    family definition changed.
+    cells while pre-measured checkpoints restore unchanged.  The tags stay
+    out of the base fingerprint so that lines written before they existed
+    keep their fingerprint.  A cell whose written expectation differs from
+    this one in any field is re-run, counted in
+    :attr:`CheckpointStats.refreshed`.
     """
 
     fingerprint: str
@@ -145,16 +168,13 @@ class CellExpectation:
 
 @dataclass
 class CheckpointStats:
-    """What one :meth:`CampaignCheckpoint.load` / ``load_serving`` pass found."""
+    """What one load of a :class:`CampaignCheckpoint` found."""
 
     restored: int = 0
     stale: int = 0
-    donor_mismatch: int = 0
     malformed: int = 0
-    #: Cells dropped for re-running rather than raising: serving cells whose
-    #: fingerprint (family definition, replay budget or deployed front) no
-    #: longer matches, and search cells whose surrogate settings or
-    #: objective set changed.
+    #: Cells dropped for re-running: their written expectation no longer
+    #: matches the current run.
     refreshed: int = 0
 
 
@@ -167,7 +187,7 @@ class CampaignCheckpoint:
         Directory holding the checkpoint file (created on first store).
     seed:
         The campaign's master seed; lines written under any other seed make
-        :meth:`load` raise instead of silently mixing results.
+        the loaders raise instead of silently mixing results.
     """
 
     FILENAME = "campaign_cells.jsonl"
@@ -177,304 +197,130 @@ class CampaignCheckpoint:
         self.path = self.directory / self.FILENAME
         self.seed = int(seed)
         self.stats = CheckpointStats()
+        self._store = JsonlStore(self.path, {_CHECKPOINT_VERSION}, "campaign checkpoint", logger)
 
     # -- restore -----------------------------------------------------------------
     def load(
         self, expected: Mapping[CellKey, CellExpectation]
     ) -> Dict[CellKey, SearchResult]:
-        """Restore every completed cell of the current grid.
+        """Restore every completed search cell of the current grid.
 
         ``expected`` maps each ``(platform, scenario)`` key of the *current*
-        grid to the fingerprint and warm-start donor chain the run would use
-        for it; keys not in the mapping are stale cells from an older grid
-        and are ignored.
+        grid to the expectation the run would write for it; keys not in the
+        mapping are stale cells from an older grid and are ignored.
         """
-        restored: Dict[CellKey, SearchResult] = {}
-        self.stats = CheckpointStats()
-        mismatched = set()
-        stale_surrogate = set()
-        for record, fingerprint, key in self._iter_records("search"):
-            expectation = expected.get(key)
-            if expectation is None:
-                self.stats.stale += 1
-                continue
-            if fingerprint != expectation.fingerprint:
-                raise ConfigurationError(
-                    f"checkpoint {self.path} holds cell {key} written under a "
-                    f"different campaign configuration (fingerprint {fingerprint} "
-                    f"vs {expectation.fingerprint}): the search budget, scenario "
-                    f"constraints, stage count or evaluator settings changed; "
-                    f"use a fresh checkpoint_dir"
-                )
-            try:
-                donors = tuple(str(name) for name in record["donors"])
-            except (KeyError, TypeError):
-                self.stats.malformed += 1
-                continue
-            if donors != expectation.donors:
-                mismatched.add(key)
-                continue
-            if (
-                str(record.get("surrogate", "")) != expectation.surrogate
-                or str(record.get("objectives", "")) != expectation.objectives
-            ):
-                stale_surrogate.add(key)
-                continue
-            result = self._decode_payload(record, SearchResult)
-            if result is not None:
-                restored[key] = result
-        self.stats.restored = len(restored)
-        # A mismatched line may be superseded by a later line for the same
-        # cell (the file is append-only); only cells left unrestored re-run.
-        self.stats.donor_mismatch = len(mismatched - set(restored))
-        self.stats.refreshed = len(stale_surrogate - set(restored))
-        if self.stats.malformed:
-            logger.warning(
-                "campaign checkpoint %s: restored %d cells, skipped %d malformed "
-                "lines (expected after an interrupted write)",
-                self.path,
-                self.stats.restored,
-                self.stats.malformed,
-            )
-        if self.stats.donor_mismatch:
-            logger.info(
-                "campaign checkpoint %s: re-running %d cells whose warm-start "
-                "donor chain changed with the grid",
-                self.path,
-                self.stats.donor_mismatch,
-            )
-        if self.stats.refreshed:
-            logger.info(
-                "campaign checkpoint %s: re-running %d cells whose surrogate "
-                "settings or objective set changed",
-                self.path,
-                self.stats.refreshed,
-            )
-        return restored
+        return self._load("search", expected, SearchResult)
 
     def load_serving(
         self, expected: Mapping[ServingCellKey, CellExpectation]
     ) -> Dict[ServingCellKey, object]:
-        """Restore every completed serving cell of the current sweep.
-
-        ``expected`` maps each ``(platform, family)`` key of the *current*
-        sweep to its fingerprint (family definition, replay budget, deployed
-        front).  A fingerprint mismatch drops the cell for re-running — a
-        stale family definition must never serve stale records — and is
-        counted in :attr:`CheckpointStats.refreshed`; unknown keys are
-        stale; a wrong seed raises, exactly as for search cells.
-        """
+        """Restore every completed serving cell of the current sweep,
+        keyed ``(platform, family)``; same discipline as :meth:`load`."""
         from .serving_runner import ServingCellResult  # local: runner imports us
 
-        return self._load_refreshable(
-            "serving",
-            expected,
-            ServingCellResult,
-            "family definition, replay budget or deployed front",
-        )
+        return self._load("serving", expected, ServingCellResult)
 
     def load_fleet(
         self, expected: Mapping[FleetCellKey, CellExpectation]
     ) -> Dict[FleetCellKey, object]:
-        """Restore every completed fleet cell of the current sweep.
-
-        ``expected`` maps each ``(mix, family)`` key of the *current* sweep
-        to its fingerprint (mix definition, family, replay budget and the
-        deployed fronts).  Same refresh discipline as serving cells: a
-        fingerprint mismatch drops the cell for re-running, unknown keys are
-        stale, a wrong seed raises.
-        """
+        """Restore every completed fleet cell of the current sweep, keyed
+        ``(mix, family)``; same discipline as :meth:`load`."""
         from .fleet_runner import FleetCellResult  # local: runner imports us
 
-        return self._load_refreshable(
-            "fleet",
-            expected,
-            FleetCellResult,
-            "mix definition, family, replay budget or deployed fronts",
-        )
+        return self._load("fleet", expected, FleetCellResult)
 
-    def _load_refreshable(
+    def _load(
         self,
         kind: str,
         expected: Mapping[Tuple[str, str], CellExpectation],
         expected_type: type,
-        refresh_reason: str,
     ) -> Dict[Tuple[str, str], object]:
-        """Shared loader of the refresh-on-mismatch kinds (serving, fleet)."""
-        restored: Dict[Tuple[str, str], object] = {}
+        """The one loader of every kind (see the module's safety model)."""
+        (first_field, second_field), _ = _KINDS[kind]
         self.stats = CheckpointStats()
         mismatched = set()
-        for record, fingerprint, key in self._iter_records(kind):
-            expectation = expected.get(key)
-            if expectation is None:
-                self.stats.stale += 1
-                continue
-            if fingerprint != expectation.fingerprint:
-                mismatched.add(key)
-                continue
-            result = self._decode_payload(record, expected_type)
-            if result is not None:
-                restored[key] = result
-        self.stats.restored = len(restored)
-        # A stale line may be superseded by a later line written under the
-        # current fingerprint; only cells left unrestored actually re-run.
-        self.stats.refreshed = len(mismatched - set(restored))
-        if self.stats.malformed:
-            logger.warning(
-                "campaign checkpoint %s: restored %d %s cells, skipped %d "
-                "malformed lines (expected after an interrupted write)",
-                self.path,
-                self.stats.restored,
-                kind,
-                self.stats.malformed,
+
+        def key(record: dict):
+            if record.get("kind", "search") != kind:
+                return None
+            seed = int(record["seed"])
+            written = CellExpectation(
+                fingerprint=str(record["fingerprint"]),
+                donors=tuple(str(name) for name in record.get("donors", ())),
+                surrogate=str(record.get("surrogate", "")),
+                objectives=str(record.get("objectives", "")),
             )
-        if self.stats.refreshed:
+            cell = (str(record[first_field]), str(record[second_field]))
+            if seed != self.seed:
+                raise ConfigurationError(
+                    f"checkpoint {self.path} holds cell {cell} written under seed "
+                    f"{seed}, but this campaign runs under seed {self.seed}; "
+                    f"refusing to mix seeds — use a fresh checkpoint_dir or "
+                    f"re-run with the original seed"
+                )
+            if cell not in expected:
+                self.stats.stale += 1
+                return None
+            if written != expected[cell]:
+                mismatched.add(cell)
+                return None
+            return cell
+
+        restored: Dict[Tuple[str, str], object] = {}
+        self.stats.malformed = self._store.load(
+            restored, key, lambda record: decode_payload(record["payload"], expected_type)
+        )
+        # A mismatched line may be superseded by a later matching line for
+        # the same cell; only cells left unrestored re-run.
+        refreshed = mismatched - restored.keys()
+        self.stats.restored = len(restored)
+        self.stats.refreshed = len(refreshed)
+        if restored:
             logger.info(
-                "campaign checkpoint %s: re-running %d %s cells whose %s changed",
-                self.path,
-                self.stats.refreshed,
-                kind,
-                refresh_reason,
+                "campaign checkpoint %s: restored %d of %d %s cells",
+                self.path, len(restored), len(expected), kind
+            )
+        if refreshed:
+            logger.info(
+                "campaign checkpoint %s: re-running %d %s cells whose settings "
+                "or warm-start donors changed",
+                self.path, len(refreshed), kind
             )
         return restored
 
-    def _iter_records(self, kind: str):
-        """Well-formed records of ``kind``: yields (record, fingerprint, key).
-
-        Shared parsing/safety layer of both loaders: blank and malformed
-        lines are skipped (and counted), records of other kinds are ignored,
-        and a foreign seed raises before any payload is touched.
-        """
-        first_field, second_field = _KEY_FIELDS[kind]
-        if not self.path.exists():
-            return
-        with self.path.open("r", encoding="utf-8") as stream:
-            for line in stream:
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    record = json.loads(stripped)
-                    if record.get("version") != _CHECKPOINT_VERSION:
-                        self.stats.malformed += 1
-                        continue
-                    if record.get("kind", "search") != kind:
-                        continue
-                    seed = int(record["seed"])
-                    fingerprint = str(record["fingerprint"])
-                    key = (str(record[first_field]), str(record[second_field]))
-                except (KeyError, TypeError, ValueError):
-                    self.stats.malformed += 1
-                    continue
-                self._check_seed(seed, key)
-                yield record, fingerprint, key
-
-    def _decode_payload(self, record: dict, expected_type: type):
-        """The record's unpickled payload, or ``None`` (counted) if broken."""
-        try:
-            result = pickle.loads(base64.b64decode(record["payload"]))
-        except Exception:  # noqa: BLE001 - truncated payloads are survivable
-            self.stats.malformed += 1
-            return None
-        if not isinstance(result, expected_type):
-            self.stats.malformed += 1
-            return None
-        return result
-
-    def _check_seed(self, seed: int, key: Tuple[str, str]) -> None:
-        if seed != self.seed:
-            raise ConfigurationError(
-                f"checkpoint {self.path} holds cell {key} written under seed "
-                f"{seed}, but this campaign runs under seed {self.seed}; "
-                f"refusing to mix seeds — use a fresh checkpoint_dir or "
-                f"re-run with the original seed"
-            )
-
     # -- persist -----------------------------------------------------------------
-    def store(
-        self,
-        key: CellKey,
-        expectation: CellExpectation,
-        result: SearchResult,
-    ) -> None:
+    def store(self, key: CellKey, expectation: CellExpectation, result: SearchResult) -> None:
         """Append one finished search cell; flushed immediately so a later
         crash costs at most the line being written."""
-        platform_name, scenario_name = key
-        self._append(
-            {
-                "version": _CHECKPOINT_VERSION,
-                "kind": "search",
-                "seed": self.seed,
-                "fingerprint": expectation.fingerprint,
-                "platform": platform_name,
-                "scenario": scenario_name,
-                "donors": list(expectation.donors),
-                "surrogate": expectation.surrogate,
-                "objectives": expectation.objectives,
-                "metrics": {
-                    "evaluations": result.num_evaluations,
-                    "front": len(result.pareto),
-                    "best_latency_ms": result.best.latency_ms,
-                    "best_energy_mj": result.best.energy_mj,
-                },
-                "payload": base64.b64encode(pickle.dumps(result)).decode("ascii"),
-            }
-        )
+        self._store_cell("search", key, expectation, result)
 
-    def store_serving(
-        self,
-        key: ServingCellKey,
-        expectation: CellExpectation,
-        result,
-    ) -> None:
+    def store_serving(self, key: ServingCellKey, expectation: CellExpectation, result) -> None:
         """Append one finished serving cell (same discipline as :meth:`store`)."""
-        platform_name, family_name = key
-        self._append(
-            {
-                "version": _CHECKPOINT_VERSION,
-                "kind": "serving",
-                "seed": self.seed,
-                "fingerprint": expectation.fingerprint,
-                "platform": platform_name,
-                "family": family_name,
-                "metrics": {
-                    "members": len(result.members),
-                    "p99_latency_ms": result.p99_latency_ms,
-                    "served_p99_per_joule": result.served_p99_per_joule,
-                },
-                "payload": base64.b64encode(pickle.dumps(result)).decode("ascii"),
-            }
-        )
+        self._store_cell("serving", key, expectation, result)
 
-    def store_fleet(
-        self,
-        key: FleetCellKey,
-        expectation: CellExpectation,
-        result,
-    ) -> None:
+    def store_fleet(self, key: FleetCellKey, expectation: CellExpectation, result) -> None:
         """Append one finished fleet cell (same discipline as :meth:`store`)."""
-        mix_name, family_name = key
-        self._append(
-            {
-                "version": _CHECKPOINT_VERSION,
-                "kind": "fleet",
-                "seed": self.seed,
-                "fingerprint": expectation.fingerprint,
-                "mix": mix_name,
-                "family": family_name,
-                "metrics": {
-                    "members": len(result.members),
-                    "p99_latency_ms": result.p99_latency_ms,
-                    "total_joules": result.total_joules,
-                },
-                "payload": base64.b64encode(pickle.dumps(result)).decode("ascii"),
-            }
-        )
+        self._store_cell("fleet", key, expectation, result)
+
+    def _store_cell(
+        self, kind: str, key: Tuple[str, str], expectation: CellExpectation, result
+    ) -> None:
+        (first_field, second_field), summary = _KINDS[kind]
+        record = {
+            "version": _CHECKPOINT_VERSION,
+            "kind": kind,
+            "seed": self.seed,
+            "fingerprint": expectation.fingerprint,
+            first_field: key[0],
+            second_field: key[1],
+        }
+        if kind == "search":
+            record["donors"] = list(expectation.donors)
+            record["surrogate"] = expectation.surrogate
+            record["objectives"] = expectation.objectives
+        record["metrics"] = summary(result)
+        record["payload"] = encode_payload(result)
+        self._append(record)
 
     def _append(self, record: dict) -> None:
-        # ensure_ascii=False keeps non-ASCII platform/family names readable in
-        # the file; the explicit utf-8 handle makes that safe on any locale.
-        self.directory.mkdir(parents=True, exist_ok=True)
-        with self.path.open("a", encoding="utf-8") as stream:
-            stream.write(json.dumps(record, ensure_ascii=False) + "\n")
-            stream.flush()
+        self._store.append([record])

@@ -27,14 +27,13 @@ Everything is seed-deterministic (member parameters, traffic seeds and
 routing derive from values only), so serial, cell-parallel and
 checkpoint-resumed sweeps render a byte-identical
 :func:`repro.core.report.fleet_summary`.  Fleet cells checkpoint under
-record kind ``fleet`` with the serving refresh discipline: editing a mix,
+record kind ``fleet`` under the one refresh discipline: editing a mix,
 re-searching a front or changing the replay budget re-runs exactly the
 affected cells.
 """
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -53,7 +52,7 @@ from ..serving.families import WorkloadFamily, member_traffic_seed, resolve_fami
 from ..serving.fleet import AutoscalerPolicy, FleetInstance, get_router, simulate_fleet
 from ..serving.fleet_metrics import FleetMetrics, compute_fleet_metrics
 from ..serving.policies import Deployment
-from ..serving.result_cache import ServingResultCache
+from ..serving.result_cache import ServingResultCache, resolve_serving_cache
 from ..soc.platform import Platform
 from ..soc.presets import get_platform
 from ..utils import check_positive
@@ -74,8 +73,6 @@ __all__ = [
     "select_front_point",
     "run_fleet_campaign",
 ]
-
-logger = logging.getLogger(__name__)
 
 #: Front-point selection modes a mix may ask for.
 _SELECTIONS = ("energy", "latency", "balanced")
@@ -596,13 +593,7 @@ def run_fleet_campaign(
     check_positive(duration_ms, "duration_ms")
     check_positive(p99_slo_ms, "p99_slo_ms")
 
-    shared_serving: Optional[ServingResultCache] = None
-    if isinstance(serving_cache, ServingResultCache):
-        shared_serving = serving_cache
-    elif serving_cache is not None:
-        shared_serving = ServingResultCache(path=serving_cache)
-    elif measured_objectives is not None:
-        shared_serving = ServingResultCache()
+    shared_serving = resolve_serving_cache(serving_cache, measured_objectives is not None)
 
     campaign = run_campaign(
         network,
@@ -702,22 +693,13 @@ def run_fleet_campaign(
                 ),
                 objectives=objectives_tag,
             )
-            expectations[(mix.name, family.name)] = CellExpectation(
-                fingerprint=fingerprint
-            )
+            expectations[(mix.name, family.name)] = CellExpectation(fingerprint)
 
     checkpoint: Optional[CampaignCheckpoint] = None
     completed: Dict[FleetCellKey, FleetCellResult] = {}
     if checkpoint_dir is not None:
         checkpoint = CampaignCheckpoint(checkpoint_dir, seed=int(seed))
         completed = checkpoint.load_fleet(expectations)
-        if completed:
-            logger.info(
-                "fleet campaign resume: %d of %d cells restored from %s",
-                len(completed),
-                len(expectations),
-                checkpoint.path,
-            )
 
     mix_by_name = {mix.name: mix for mix in mix_objs}
     family_by_name = {family.name: family for family in family_objs}

@@ -40,7 +40,6 @@ cell-parallel paths agreeing bit for bit, interrupted or not.
 from __future__ import annotations
 
 import dataclasses
-import logging
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -57,7 +56,12 @@ from ..search.evaluation import ConfigEvaluator, EvaluatedConfig
 from ..search.evolutionary import SearchResult
 from ..search.objectives import MeasuredObjectives, ObjectiveSet, paper_objective
 from ..search.space import MappingConfig
-from ..serving.result_cache import ServingCacheRecorder, ServingResultCache
+from ..serving.result_cache import (
+    ServingCacheRecorder,
+    ServingResultCache,
+    resolve_serving_cache,
+    serving_cache_path,
+)
 from ..serving.workload import ArrivalProcess
 from ..soc.platform import Platform
 from ..soc.presets import get_platform
@@ -78,8 +82,6 @@ __all__ = [
     "run_campaign",
     "fan_out_cells",
 ]
-
-logger = logging.getLogger(__name__)
 
 #: Backend choices run_campaign accepts.  Instances are rejected: a backend
 #: is bound to one evaluator spec, and the campaign needs one per platform.
@@ -548,8 +550,10 @@ def run_campaign(
         Optional directory for cell checkpoints.  Finished cells are
         persisted there and skipped on restart; resuming an interrupted
         campaign yields output byte-identical to an uninterrupted run.  A
-        checkpoint written under a different seed or campaign configuration
-        raises :class:`~repro.errors.ConfigurationError` rather than mixing.
+        checkpoint written under a different seed raises
+        :class:`~repro.errors.ConfigurationError` rather than mixing; cells
+        written under a different configuration are re-run
+        (:attr:`~repro.campaign.checkpoint.CheckpointStats.refreshed`).
     cell_workers:
         Fan independent cells over a pool of this many worker processes
         (``None``/1 keeps the sequential path).  Each cell still owns its
@@ -682,14 +686,7 @@ def run_campaign(
             "ObjectiveSet binds a single platform, while the factory binds each "
             "cell's platform at fan-out time"
         )
-    if isinstance(serving_cache, ServingResultCache):
-        shared_serving = serving_cache
-    elif serving_cache is not None:
-        shared_serving = ServingResultCache(path=serving_cache)
-    elif measured_objectives is not None:
-        shared_serving = ServingResultCache()
-    else:
-        shared_serving = None
+    shared_serving = resolve_serving_cache(serving_cache, measured_objectives is not None)
     # Per-platform tags of the *bound* measured sets: the extractor's repr
     # covers platform, workload member, traffic seed and duration, so any
     # cache-relevant change re-runs exactly the affected cells on resume.
@@ -724,8 +721,16 @@ def run_campaign(
             # search result, so changing it keeps checkpoints valid.  The
             # ObjectiveSet is different: it shapes the front, so it rides in
             # the expectation's refreshable objectives tag (below), like the
-            # surrogate settings.
+            # surrogate settings.  A warm-started cell folds in its donors'
+            # expectations (built earlier in this loop, so transitively): a
+            # donor changed under the same name re-runs every cell it seeds.
+            donor_fields = (
+                {"donors": tuple(expectations[(name, scenario.name)] for name in donors)}
+                if donors
+                else {}
+            )
             fingerprint = campaign_fingerprint(
+                **donor_fields,
                 network=network,
                 platform=platform,
                 num_stages=stages,
@@ -750,13 +755,6 @@ def run_campaign(
     if checkpoint_dir is not None:
         checkpoint = CampaignCheckpoint(checkpoint_dir, seed=int(seed))
         completed = checkpoint.load(expectations)
-        if completed:
-            logger.info(
-                "campaign resume: %d of %d cells restored from %s",
-                len(completed),
-                len(expectations),
-                checkpoint.path,
-            )
     offloaded = set(completed)  # cells whose evaluations bypassed shared_cache
 
     def make_task(key: CellKey, with_seeds: bool = True) -> _CellTask:
@@ -799,11 +797,7 @@ def run_campaign(
             surrogate=cell_surrogate,
             objectives=objectives,
             measured=measured_objectives,
-            serving_cache_path=(
-                None
-                if shared_serving is None or shared_serving.path is None
-                else str(shared_serving.path)
-            ),
+            serving_cache_path=serving_cache_path(shared_serving),
         )
 
     def finish_cell(key: CellKey, result: SearchResult) -> None:

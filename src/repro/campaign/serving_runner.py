@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -77,7 +76,13 @@ from ..serving.bridge import (
 from ..serving.families import WorkloadFamily, member_traffic_seed, resolve_families
 from ..serving.metrics import ServingMetrics, compute_metrics, metric_direction
 from ..serving.policies import POLICY_KINDS, Deployment, build_policy
-from ..serving.result_cache import ServingResultCache, deployment_digest, serving_scenario
+from ..serving.result_cache import (
+    ServingResultCache,
+    deployment_digest,
+    resolve_serving_cache,
+    serving_cache_path,
+    serving_scenario,
+)
 from ..soc.platform import Platform
 from ..utils import check_positive, geometric_mean
 from .checkpoint import (
@@ -103,8 +108,6 @@ __all__ = [
     "run_serving_campaign",
     "served_p99_per_joule",
 ]
-
-logger = logging.getLogger(__name__)
 
 
 def served_p99_per_joule(metrics: ServingMetrics) -> float:
@@ -784,13 +787,7 @@ def run_serving_campaign(
     # searches fill it (via run_campaign) and the serving replays below drain
     # it, so a deployment the search already simulated under a family member
     # is never re-simulated by that member's replay.
-    shared_serving: Optional[ServingResultCache] = None
-    if isinstance(serving_cache, ServingResultCache):
-        shared_serving = serving_cache
-    elif serving_cache is not None:
-        shared_serving = ServingResultCache(path=serving_cache)
-    elif measured_objectives is not None:
-        shared_serving = ServingResultCache()
+    shared_serving = resolve_serving_cache(serving_cache, measured_objectives is not None)
 
     campaign = run_campaign(
         network,
@@ -865,22 +862,13 @@ def run_serving_campaign(
             if policy_kinds != ("static",):
                 fingerprint_fields["policies"] = policy_kinds
             fingerprint = campaign_fingerprint(**fingerprint_fields)
-            expectations[(platform.name, family.name)] = CellExpectation(
-                fingerprint=fingerprint
-            )
+            expectations[(platform.name, family.name)] = CellExpectation(fingerprint)
 
     checkpoint: Optional[CampaignCheckpoint] = None
     completed: Dict[ServingCellKey, ServingCellResult] = {}
     if checkpoint_dir is not None:
         checkpoint = CampaignCheckpoint(checkpoint_dir, seed=int(seed))
         completed = checkpoint.load_serving(expectations)
-        if completed:
-            logger.info(
-                "serving campaign resume: %d of %d cells restored from %s",
-                len(completed),
-                len(expectations),
-                checkpoint.path,
-            )
 
     family_by_name = {family.name: family for family in family_objs}
     platform_by_name = {platform.name: platform for platform in platform_objs}
@@ -898,11 +886,7 @@ def run_serving_campaign(
             seed=int(seed),
             policies=policy_kinds,
             cached_replays=shared_serving is not None,
-            serving_cache_path=(
-                None
-                if shared_serving is None or shared_serving.path is None
-                else str(shared_serving.path)
-            ),
+            serving_cache_path=serving_cache_path(shared_serving),
         )
 
     def finish_cell(key: ServingCellKey, result: ServingCellResult) -> None:

@@ -11,7 +11,9 @@ When constructed with a ``path`` the cache appends one JSON line per stored
 result and reloads existing lines on startup, making evaluation results
 persistent across runs and shareable between processes.  Each line carries a
 human-readable metric summary next to an opaque pickled payload, so cache
-files double as a flat log of everything ever evaluated.
+files double as a flat log of everything ever evaluated.  The line format,
+crash recovery and first-line-wins rule are those of
+:class:`~repro.jsonl_store.JsonlStore`.
 
 Line layout (format version 2)::
 
@@ -41,18 +43,17 @@ full pickles without references, load through the same decoder.
 
 from __future__ import annotations
 
-import base64
 import copyreg
 import hashlib
 import io
-import json
 import logging
 import pickle
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 from ..errors import ConfigurationError
+from ..jsonl_store import JsonlStore, from_text, to_text
 from ..nn.channels import ChannelRanking
 from ..search.evaluation import EvaluatedConfig
 
@@ -115,8 +116,9 @@ class _SharedCodec:
             self._pending[key] = memo[2]
         return (_shared_ref, (key,))
 
-    def encode(self, value: EvaluatedConfig) -> Tuple[bytes, Dict[str, bytes]]:
-        """Pickle ``value``; also return the ranking blobs its line must carry.
+    def encode(self, value: EvaluatedConfig) -> Tuple[str, Dict[str, str]]:
+        """Pickle ``value`` to payload text; also return, as text by key, the
+        ranking blobs its line must carry.
 
         The returned blobs count as written from here on: the caller puts
         them on this entry's line.
@@ -127,10 +129,13 @@ class _SharedCodec:
         pickler.dispatch_table = self._dispatch
         pickler.dump(value)
         self.in_file.update(self._pending)
-        return buffer.getvalue(), self._pending
+        return to_text(buffer.getvalue()), {
+            key: to_text(blob) for key, blob in self._pending.items()
+        }
 
-    def add_blob(self, key: str, blob: bytes) -> None:
+    def add_blob(self, key: str, text: str) -> None:
         """Decode a ranking blob read from the file (first copy wins)."""
+        blob = from_text(text)
         if key in self.table:
             return
         if hashlib.sha256(blob).hexdigest() != key:
@@ -142,9 +147,12 @@ class _SharedCodec:
         self.in_file.add(key)
         self._keys[id(ranking)] = (key, ranking, blob)
 
-    def decode(self, payload: bytes) -> object:
-        """Unpickle a payload, resolving its references through :attr:`table`."""
-        return _SharedUnpickler(io.BytesIO(payload), self._classes).load()
+    def decode(self, text: str) -> EvaluatedConfig:
+        """Unpickle payload text, resolving its references through :attr:`table`."""
+        value = _SharedUnpickler(io.BytesIO(from_text(text)), self._classes).load()
+        if not isinstance(value, EvaluatedConfig):
+            raise ValueError(f"payload is not an EvaluatedConfig: {type(value).__name__}")
+        return value
 
 
 class _SharedUnpickler(pickle.Unpickler):
@@ -207,8 +215,11 @@ class EvaluationCache:
         self._entries: Dict[str, EvaluatedConfig] = {}
         self.stats = CacheStats()
         self.path = Path(path) if path is not None else None
-        self._codec = _SharedCodec() if self.path is not None else None
-        if self.path is not None and self.path.exists():
+        self._codec: Optional[_SharedCodec] = None
+        self._store: Optional[JsonlStore] = None
+        if self.path is not None:
+            self._codec = _SharedCodec()
+            self._store = JsonlStore(self.path, _READABLE_VERSIONS, "evaluation cache", logger)
             self._load()
 
     def __len__(self) -> int:
@@ -258,15 +269,7 @@ class EvaluationCache:
 
     def store(self, digest: str, value: EvaluatedConfig) -> None:
         """Insert a freshly evaluated result and persist it if configured."""
-        if not isinstance(value, EvaluatedConfig):
-            raise ConfigurationError(
-                f"cache values must be EvaluatedConfig, got {type(value).__name__}"
-            )
-        if digest in self._entries:
-            return
-        self._entries[digest] = value
-        if self.path is not None:
-            self._persist([(digest, value)])
+        self._insert(((digest, value),))
 
     def store_many(self, pairs: Iterable[Tuple[str, EvaluatedConfig]]) -> None:
         """Insert a batch of results, skipping digests already present.
@@ -274,6 +277,9 @@ class EvaluationCache:
         Equivalent to calling :meth:`store` per pair, but persisted entries
         are flushed through a single file append.
         """
+        self._insert(pairs)
+
+    def _insert(self, pairs: Iterable[Tuple[str, EvaluatedConfig]]) -> None:
         fresh: list = []
         for digest, value in pairs:
             if not isinstance(value, EvaluatedConfig):
@@ -284,11 +290,20 @@ class EvaluationCache:
                 continue
             self._entries[digest] = value
             fresh.append((digest, value))
-        if self.path is not None and fresh:
-            self._persist(fresh)
+        if self._store is None or not fresh:
+            return
+        in_file = set(self._codec.in_file)
+        try:
+            # A generator, so each record is freed once dumped to its line.
+            self._store.append(self._record(digest, value) for digest, value in fresh)
+        except BaseException:
+            # Blobs that may not have reached the file are written again by
+            # the next line that needs them (the loader keeps the first copy).
+            self._codec.in_file = in_file
+            raise
 
     # -- persistence -------------------------------------------------------------
-    def _line(self, digest: str, value: EvaluatedConfig) -> str:
+    def _record(self, digest: str, value: EvaluatedConfig) -> Dict[str, object]:
         payload, shared = self._codec.encode(value)
         record = {
             "version": _PERSIST_VERSION,
@@ -300,79 +315,25 @@ class EvaluationCache:
                 "reuse_fraction": value.reuse_fraction,
             },
             "mapping": value.config.describe(),
-            "payload": base64.b64encode(payload).decode("ascii"),
+            "payload": payload,
         }
         if shared:
-            record["shared"] = {
-                key: base64.b64encode(blob).decode("ascii") for key, blob in shared.items()
-            }
-        # ensure_ascii=False keeps non-ASCII platform/unit names readable in
-        # the log; the explicit utf-8 handle in _persist makes that safe on
-        # any locale.
-        return json.dumps(record, ensure_ascii=False) + "\n"
-
-    def _persist(self, pairs: List[Tuple[str, EvaluatedConfig]]) -> None:
-        """Append one line per pair through a single file handle."""
-        in_file = set(self._codec.in_file)
-        try:
-            lines = [self._line(digest, value) for digest, value in pairs]
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with self.path.open("a", encoding="utf-8") as stream:
-                stream.writelines(lines)
-        except BaseException:
-            # Blobs that may not have reached the file are written again by
-            # the next line that needs them (the loader keeps the first copy).
-            self._codec.in_file = in_file
-            raise
+            record["shared"] = shared
+        return record
 
     def _load(self) -> None:
-        """Reload persisted entries, surviving a mid-write crash.
+        """Reload persisted entries through the store's tolerant reader.
 
-        A process killed while :meth:`_persist` is flushing (e.g. a campaign
-        interrupted between checkpoints) leaves a truncated trailing line;
-        foreign tools may leave other malformed lines.  Neither aborts the
-        load — every malformed line, and every line referring to a ranking
-        blob the file does not hold before it, is skipped and the recovery
-        is logged so silent data loss is visible in the run's logs.
-
-        Two writers sharing one file may both append an entry; the first
-        line for a digest wins, as in :meth:`store`, and ``stats.loaded``
-        counts distinct entries.
+        A line referring to a ranking blob the file does not hold before it
+        is skipped like a malformed one.  ``stats.loaded`` counts distinct
+        entries.
         """
         codec = self._codec
-        entries = self._entries
-        skipped = 0
-        loaded = 0
-        with self.path.open("r", encoding="utf-8") as stream:
-            for line in stream:
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    record = json.loads(stripped)
-                    if record.get("version") not in _READABLE_VERSIONS:
-                        skipped += 1
-                        continue
-                    for key, blob in record.get("shared", {}).items():
-                        codec.add_blob(key, base64.b64decode(blob))
-                    digest = record["key"]
-                    if digest in entries:
-                        continue
-                    value = codec.decode(base64.b64decode(record["payload"]))
-                    if not isinstance(value, EvaluatedConfig):
-                        skipped += 1
-                        continue
-                except Exception:  # noqa: BLE001 - tolerate truncated/foreign lines
-                    skipped += 1
-                    continue
-                entries[digest] = value
-                loaded += 1
-        self.stats.loaded += loaded
-        if skipped:
-            logger.warning(
-                "evaluation cache %s: recovered %d entries, skipped %d malformed "
-                "or foreign lines (expected after an interrupted write)",
-                self.path,
-                loaded,
-                skipped,
-            )
+
+        def key(record: dict) -> str:
+            for name, blob in record.get("shared", {}).items():
+                codec.add_blob(name, blob)
+            return record["key"]
+
+        self._store.load(self._entries, key, lambda record: codec.decode(record["payload"]))
+        self.stats.loaded += len(self._entries)

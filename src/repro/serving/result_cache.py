@@ -17,12 +17,12 @@ searched configurations that distil to the same deployment share one entry;
 touching the family, seed or budget changes every key, so stale results can
 never be served.
 
-Persistence mirrors :class:`~repro.engine.cache.EvaluationCache`: one JSON
-line per stored result (human-readable metric summary + pickled
-:class:`~repro.serving.metrics.ServingMetrics` payload), ``ensure_ascii=False``
-so non-ASCII family names stay readable, eager reload on startup, and
-malformed/truncated lines are skipped with a logged recovery count instead of
-aborting the load.
+Persistence goes through a :class:`~repro.jsonl_store.JsonlStore`, like the
+:class:`~repro.engine.cache.EvaluationCache`: one JSON line per stored result
+(human-readable metric summary + pickled
+:class:`~repro.serving.metrics.ServingMetrics` payload), eager reload on
+startup, the first line per digest winning, and malformed or truncated lines
+skipped with a logged recovery count instead of aborting the load.
 
 .. warning::
    The payload is a pickle: loading a cache file deserialises it with
@@ -32,18 +32,15 @@ aborting the load.
 
 from __future__ import annotations
 
-import base64
 import hashlib
-import json
 import logging
-import pickle
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterator, Optional, Sequence, Tuple, Union
 
-from dataclasses import dataclass
-
 from ..engine.cache import CacheStats
 from ..errors import ConfigurationError
+from ..jsonl_store import JsonlStore, decode_payload, encode_payload
 from ..soc.platform import Platform
 from .metrics import ServingMetrics
 from .policies import Deployment
@@ -164,7 +161,9 @@ class ServingResultCache:
         self._session: list = []
         self.stats = CacheStats()
         self.path = Path(path) if path is not None else None
-        if self.path is not None and self.path.exists():
+        self._store: Optional[JsonlStore] = None
+        if self.path is not None:
+            self._store = JsonlStore(self.path, {_PERSIST_VERSION}, "serving result cache", logger)
             self._load()
 
     def __len__(self) -> int:
@@ -225,8 +224,8 @@ class ServingResultCache:
         if family:
             self._families[digest] = family
         self._session.append((digest, value, family))
-        if self.path is not None:
-            self._append(digest, value, family)
+        if self._store is not None:
+            self._store.append([self._record(digest, value, family)])
 
     # -- cross-process merge-back ------------------------------------------------
     def export_session(self) -> Tuple[Tuple[str, ServingMetrics, str], ...]:
@@ -281,58 +280,42 @@ class ServingResultCache:
             "family": family,
             "policy": value.policy,
             "metrics": cls._metrics_summary(value),
-            "payload": base64.b64encode(pickle.dumps(value)).decode("ascii"),
+            "payload": encode_payload(value),
         }
 
-    def _append(self, digest: str, value: ServingMetrics, family: str) -> None:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        # ensure_ascii=False keeps non-ASCII family names readable in the
-        # log; the explicit utf-8 handle makes that safe on any locale.
-        with self.path.open("a", encoding="utf-8") as stream:
-            stream.write(
-                json.dumps(self._record(digest, value, family), ensure_ascii=False) + "\n"
-            )
-
     def _load(self) -> None:
-        """Reload persisted entries, surviving a mid-write crash.
+        """Reload persisted entries through the store's tolerant reader."""
 
-        A process killed while :meth:`_append` is flushing leaves a truncated
-        trailing line; foreign tools may leave other malformed lines.  Neither
-        aborts the load — every malformed line is skipped and the recovery is
-        logged so silent data loss stays visible in the run's logs.
-        """
-        skipped = 0
-        with self.path.open("r", encoding="utf-8") as stream:
-            for line in stream:
-                stripped = line.strip()
-                if not stripped:
-                    continue
-                try:
-                    record = json.loads(stripped)
-                    if record.get("version") != _PERSIST_VERSION:
-                        skipped += 1
-                        continue
-                    digest = record["key"]
-                    family = str(record.get("family", ""))
-                    value = pickle.loads(base64.b64decode(record["payload"]))
-                    if not isinstance(value, ServingMetrics):
-                        skipped += 1
-                        continue
-                except Exception:  # noqa: BLE001 - tolerate truncated/foreign lines
-                    skipped += 1
-                    continue
-                self._entries[digest] = value
-                if family:
-                    self._families[digest] = family
-                self.stats.loaded += 1
-        if skipped:
-            logger.warning(
-                "serving result cache %s: recovered %d entries, skipped %d malformed "
-                "or foreign lines (expected after an interrupted write)",
-                self.path,
-                self.stats.loaded,
-                skipped,
-            )
+        def value(record: dict) -> ServingMetrics:
+            metrics = decode_payload(record["payload"], ServingMetrics)
+            family = str(record.get("family", ""))
+            if family:
+                self._families[record["key"]] = family
+            return metrics
+
+        self._store.load(self._entries, lambda record: record["key"], value)
+        self.stats.loaded += len(self._entries)
+
+
+def resolve_serving_cache(
+    serving_cache: Union[ServingResultCache, str, Path, None], measuring: bool
+) -> Optional[ServingResultCache]:
+    """The campaign-wide handle a ``serving_cache=`` argument names.
+
+    An instance is used as is and a path opens a cache on that JSONL file;
+    without either, a campaign that measures gets a fresh in-memory cache
+    and any other campaign none.
+    """
+    if isinstance(serving_cache, ServingResultCache):
+        return serving_cache
+    if serving_cache is not None:
+        return ServingResultCache(path=serving_cache)
+    return ServingResultCache() if measuring else None
+
+
+def serving_cache_path(cache: Optional[ServingResultCache]) -> Optional[str]:
+    """The JSONL path pool workers reopen ``cache`` through, if it has one."""
+    return None if cache is None or cache.path is None else str(cache.path)
 
 
 @dataclass(frozen=True)

@@ -6,20 +6,20 @@ The tentpole guarantees under test:
   renders a ``campaign_summary`` byte-identical to an uninterrupted run,
   without re-searching the finished cells;
 * ``cell_workers > 1`` matches the sequential path bit for bit;
-* checkpoints refuse to mix seeds or configurations, survive corrupted
-  lines, and a grown grid re-runs exactly the new cells;
+* checkpoints refuse to mix seeds, re-run exactly the cells whose
+  configuration changed, survive corrupted lines, and a grown grid re-runs
+  exactly the new cells;
 * ``warm_start=True`` seeds later platforms with translated Pareto points
   and stays deterministic across sequential and parallel execution.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 
 import pytest
 
-from repro.campaign import CampaignCheckpoint, CellExpectation, run_campaign
+from repro.campaign import CampaignCheckpoint, run_campaign
 from repro.campaign import runner as runner_module
 from repro.core.report import campaign_summary
 from repro.engine.cache import EvaluationCache
@@ -49,6 +49,26 @@ def _interrupt_after(monkeypatch, n_cells):
 
     monkeypatch.setattr(runner_module, "_run_cell", exploding)
     return calls
+
+
+def _spy_resume(monkeypatch):
+    """Record the platform of every searched cell and the stats of every
+    checkpoint load."""
+    searched, stats = [], []
+    run_cell, load = runner_module._run_cell, CampaignCheckpoint.load
+
+    def counting(task, cache=None, framework=None, **kwargs):
+        searched.append(task.platform.name)
+        return run_cell(task, cache, framework, **kwargs)
+
+    def loading(self, expected):
+        restored = load(self, expected)
+        stats.append(self.stats)
+        return restored
+
+    monkeypatch.setattr(runner_module, "_run_cell", counting)
+    monkeypatch.setattr(CampaignCheckpoint, "load", loading)
+    return searched, stats
 
 
 class TestResumeByteIdentity:
@@ -213,41 +233,84 @@ class TestCheckpointEdgeCases:
                 tiny_network, GRID, seed=SEED + 1, checkpoint_dir=tmp_path, **BUDGET
             )
 
-    def test_different_budget_raises_not_mixes(self, tiny_network, tmp_path):
+    def test_different_budget_reruns_every_cell(self, tiny_network, tmp_path, monkeypatch):
         run_campaign(tiny_network, GRID, seed=SEED, checkpoint_dir=tmp_path, **BUDGET)
-        with pytest.raises(ConfigurationError, match="fingerprint"):
-            run_campaign(
-                tiny_network,
-                GRID,
-                seed=SEED,
-                checkpoint_dir=tmp_path,
-                generations=BUDGET["generations"] + 1,
-                population_size=BUDGET["population_size"],
-            )
+        budget = dict(BUDGET, generations=BUDGET["generations"] + 1)
+        searched, stats = _spy_resume(monkeypatch)
+        resumed = run_campaign(tiny_network, GRID, seed=SEED, checkpoint_dir=tmp_path, **budget)
+        assert sorted(searched) == sorted(GRID)
+        assert (stats[0].restored, stats[0].refreshed) == (0, len(GRID))
+        assert campaign_summary(resumed) == campaign_summary(
+            run_campaign(tiny_network, GRID, seed=SEED, **budget)
+        )
 
-    def test_same_named_but_recalibrated_platform_raises(self, tiny_network, tmp_path):
+    @pytest.mark.parametrize("warm_start", [False, True])
+    def test_same_named_but_recalibrated_platform_reruns_its_cells(
+        self, tiny_network, tmp_path, monkeypatch, warm_start
+    ):
         """Platform identity is content, not name: a same-named board with
-        different calibration must not restore the other board's results."""
+        different calibration must not restore the other board's results.
+        Warm-started, the later board seeds from the re-run one, so it
+        re-runs too."""
         from repro.soc.presets import derive, get_platform
 
-        run_campaign(tiny_network, GRID, seed=SEED, checkpoint_dir=tmp_path, **BUDGET)
-        impostor = derive(get_platform(GRID[0]), GRID[0], gflops_scale=0.5)
-        with pytest.raises(ConfigurationError, match="fingerprint"):
-            run_campaign(
-                tiny_network,
-                (impostor, GRID[1]),
-                seed=SEED,
-                checkpoint_dir=tmp_path,
-                **BUDGET,
-            )
+        run_campaign(
+            tiny_network, GRID, seed=SEED, warm_start=warm_start, checkpoint_dir=tmp_path, **BUDGET
+        )
+        grid = (derive(get_platform(GRID[0]), GRID[0], gflops_scale=0.5), GRID[1])
+        searched, stats = _spy_resume(monkeypatch)
+        resumed = run_campaign(
+            tiny_network, grid, seed=SEED, warm_start=warm_start, checkpoint_dir=tmp_path, **BUDGET
+        )
+        rerun = list(GRID) if warm_start else [GRID[0]]
+        assert sorted(searched) == rerun
+        assert (stats[0].restored, stats[0].refreshed) == (len(GRID) - len(rerun), len(rerun))
+        assert campaign_summary(resumed) == campaign_summary(
+            run_campaign(tiny_network, grid, seed=SEED, warm_start=warm_start, **BUDGET)
+        )
 
-    def test_same_named_but_different_network_raises(self, tiny_network, tmp_path):
+    def test_recalibrated_donor_never_restores_a_stale_dependent(
+        self, tiny_network, tmp_path, monkeypatch
+    ):
+        """Cells are keyed by their donors' content, not their names: after a
+        recalibration re-runs the whole chain, later resumes — under the new
+        board, then back under the old one — each restore the line seeded
+        from the matching donor and equal a fresh run."""
+        from repro.soc.presets import derive, get_platform
+
+        # A coarser DVFS ladder changes the donor's front, and so the seeds
+        # and the result of the cell it warm-starts.
+        recalibrated = (derive(get_platform(GRID[0]), GRID[0], dvfs_points=2), GRID[1])
+        run = dict(seed=SEED, warm_start=True, **BUDGET)
+        run_campaign(tiny_network, GRID, checkpoint_dir=tmp_path, **run)
+        run_campaign(tiny_network, recalibrated, checkpoint_dir=tmp_path, **run)
+        searched, stats = _spy_resume(monkeypatch)
+        dependents = []
+        for grid in (recalibrated, GRID):
+            resumed = run_campaign(tiny_network, grid, checkpoint_dir=tmp_path, **run)
+            assert campaign_summary(resumed) == campaign_summary(
+                run_campaign(tiny_network, grid, **run)
+            )
+            dependents.append(resumed.cell(GRID[1]).result.best.energy_mj)
+        assert dependents[0] != dependents[1]
+        # The fresh reference runs search; the resumes restore everything.
+        assert searched == list(GRID) * 2
+        assert [(s.restored, s.refreshed) for s in stats] == [(len(GRID), 0)] * 2
+
+    def test_same_named_but_different_network_reruns_every_cell(
+        self, tiny_network, tmp_path, monkeypatch
+    ):
         import dataclasses
 
         run_campaign(tiny_network, GRID, seed=SEED, checkpoint_dir=tmp_path, **BUDGET)
         shrunk = dataclasses.replace(tiny_network, base_accuracy=0.8)
-        with pytest.raises(ConfigurationError, match="fingerprint"):
-            run_campaign(shrunk, GRID, seed=SEED, checkpoint_dir=tmp_path, **BUDGET)
+        searched, stats = _spy_resume(monkeypatch)
+        resumed = run_campaign(shrunk, GRID, seed=SEED, checkpoint_dir=tmp_path, **BUDGET)
+        assert sorted(searched) == sorted(GRID)
+        assert (stats[0].restored, stats[0].refreshed) == (0, len(GRID))
+        assert campaign_summary(resumed) == campaign_summary(
+            run_campaign(shrunk, GRID, seed=SEED, **BUDGET)
+        )
 
     def test_changed_objective_keeps_checkpoints_valid(
         self, tiny_network, tmp_path, monkeypatch
@@ -282,16 +345,6 @@ class TestCheckpointEdgeCases:
             **BUDGET,
         )
         assert shrunk.platform_names == GRID[:1]
-
-    def test_checkpoint_load_tolerates_unknown_version_and_blank_lines(self, tmp_path):
-        checkpoint = CampaignCheckpoint(tmp_path, seed=0)
-        (tmp_path / CampaignCheckpoint.FILENAME).write_text(
-            "\n" + json.dumps({"version": 99}) + "\nnot json at all\n", encoding="utf-8"
-        )
-        restored = checkpoint.load({("p", "s"): CellExpectation(fingerprint="x")})
-        assert restored == {}
-        assert checkpoint.stats.malformed == 2
-
 
 class TestWarmStart:
     def test_warm_start_deterministic_and_parallel_equal(self, tiny_network):

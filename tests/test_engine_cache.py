@@ -263,61 +263,6 @@ class TestPersistence:
         assert reader.stats.loaded == 1
         assert reader.peek(digest) is not None
 
-    def test_missing_file_starts_empty(self, tmp_path):
-        cache = EvaluationCache(path=tmp_path / "nonexistent.jsonl")
-        assert len(cache) == 0
-
-    def test_truncated_trailing_line_is_recovered_and_logged(
-        self, evaluated_pair, tmp_path, caplog
-    ):
-        """A mid-write crash leaves a half line; the rest must load, loudly."""
-        path = tmp_path / "cache.jsonl"
-        writer = EvaluationCache(path=path)
-        for digest, value in evaluated_pair:
-            writer.store(digest, value)
-        full = path.read_text(encoding="utf-8")
-        lines = full.splitlines(keepends=True)
-        # Chop the last line in half, no trailing newline — exactly what a
-        # SIGKILL during the cache's append leaves behind.
-        path.write_text(
-            "".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2], encoding="utf-8"
-        )
-
-        with caplog.at_level(logging.WARNING, logger="repro.engine.cache"):
-            reader = EvaluationCache(path=path)
-        (first_digest, _), _ = evaluated_pair
-        assert reader.stats.loaded == 1
-        assert reader.peek(first_digest) is not None
-        assert any(
-            "recovered 1 entries" in record.message and "skipped 1" in record.message
-            for record in caplog.records
-        )
-
-    def test_clean_load_does_not_warn(self, evaluated_pair, tmp_path, caplog):
-        path = tmp_path / "cache.jsonl"
-        writer = EvaluationCache(path=path)
-        for digest, value in evaluated_pair:
-            writer.store(digest, value)
-
-        with caplog.at_level(logging.WARNING, logger="repro.engine.cache"):
-            EvaluationCache(path=path)
-        assert not caplog.records
-
-    def test_duplicate_lines_keep_the_first_and_count_once(self, evaluated_pair, tmp_path):
-        """Two writers on one file: first line wins, like store; loaded is distinct."""
-        (digest_a, value_a), (digest_b, value_b) = evaluated_pair
-        path = tmp_path / "cache.jsonl"
-        first, second = EvaluationCache(path=path), EvaluationCache(path=path)
-        first.store_many([(digest_a, value_a), (digest_b, value_b)])
-        second.store_many([(digest_a, value_b), (digest_b, value_b)])
-        assert len(path.read_text(encoding="utf-8").splitlines()) == 4
-
-        reader = EvaluationCache(path=path)
-        assert len(reader) == 2
-        assert reader.stats.loaded == 2
-        assert reader.peek(digest_a).latency_ms == value_a.latency_ms
-
-
 class TestFrameworkSharedCache:
     def test_repeat_search_on_one_framework_hits_shared_cache(self, tiny_network, platform):
         from repro.core.framework import MapAndConquer

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import logging
 import multiprocessing
 import pickle
 
@@ -230,60 +229,6 @@ class TestPersistence:
 
         reloaded = ServingResultCache(path)
         assert reloaded.family("k") == family
-
-    def test_truncated_trailing_line_is_recovered_and_logged(self, tmp_path, caplog):
-        """A SIGKILL mid-append leaves a half-written last line; the reload
-        must keep every complete entry and say exactly what it skipped."""
-        path = tmp_path / "cache.jsonl"
-        writer = ServingResultCache(path)
-        writer.store("k1", _metrics())
-        writer.store("k2", _metrics())
-        full = path.read_text(encoding="utf-8")
-        last_line = full.splitlines()[-1]
-        path.write_text(full + last_line[: len(last_line) // 2], encoding="utf-8")
-
-        with caplog.at_level(logging.WARNING, logger="repro.serving.result_cache"):
-            recovered = ServingResultCache(path)
-
-        assert len(recovered) == 2
-        assert recovered.stats.loaded == 2
-        assert "recovered 2 entries" in caplog.text
-        assert "skipped 1 malformed" in caplog.text
-
-    def test_malformed_and_foreign_lines_are_skipped_with_counts(
-        self, tmp_path, caplog
-    ):
-        path = tmp_path / "cache.jsonl"
-        writer = ServingResultCache(path)
-        writer.store("good", _metrics())
-        with path.open("a", encoding="utf-8") as stream:
-            stream.write("not json at all\n")
-            stream.write(json.dumps({"version": 99, "key": "future"}) + "\n")
-            stream.write(
-                json.dumps({"version": 1, "key": "no-payload"}) + "\n"
-            )
-            stream.write("\n")  # blank lines are not an error
-
-        with caplog.at_level(logging.WARNING, logger="repro.serving.result_cache"):
-            recovered = ServingResultCache(path)
-
-        assert len(recovered) == 1
-        assert recovered.peek("good") is not None
-        assert "recovered 1 entries" in caplog.text
-        assert "skipped 3 malformed" in caplog.text
-
-    def test_clean_load_does_not_warn(self, tmp_path, caplog):
-        path = tmp_path / "cache.jsonl"
-        ServingResultCache(path).store("k", _metrics())
-        with caplog.at_level(logging.WARNING, logger="repro.serving.result_cache"):
-            ServingResultCache(path)
-        assert caplog.text == ""
-
-    def test_missing_file_starts_empty(self, tmp_path):
-        cache = ServingResultCache(tmp_path / "never-written.jsonl")
-        assert len(cache) == 0
-        assert cache.stats.loaded == 0
-
 
 SEED_DIGESTS = ("seed-0", "seed-1", "seed-2")
 
